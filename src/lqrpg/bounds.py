@@ -323,14 +323,11 @@ def _l_min_gradient(norms, c, h_cost, r, eps_l):
     return lead * core
 
 
-def _c_bar(norms, c, h_cost, r, l, L0, delta_x, sb_mode, self_consistent):
+def _c_bar(norms, c, h_cost, r, l, L0, delta_x, sb_mode):
     """Upper bound on one empirical rollout cost, given the state bound."""
     sb = state_bound(L0, l, norms.trace_Sigma_w, delta_x, mode=sb_mode)
-    if self_consistent:
-        inner = L0 + (l - 1) * sb.w_bar if l > 1 else L0
-    else:
-        # As printed: the growth factor appears once inside the square.
-        inner = L0 + (l - 1) * sb.w_bar
+    # As printed: the growth factor appears once inside the square.
+    inner = L0 + (l - 1) * sb.w_bar
     return (c + r * h_cost) / norms.lam_Sigma_w * inner**2
 
 
@@ -370,7 +367,7 @@ def gradient_certificate(
     )
 
     c_bar = _c_bar(norms, c, pc.h_cost, r, l, L0, budget.delta_x,
-                   state_bound_mode, self_consistent=False)
+                   state_bound_mode)
     alpha6 = d * c_bar / r
     eps_sum = budget.eps_l + budget.eps_n + budget.eps_r
     alpha7 = eps_sum + pc.b_grad + alpha6
@@ -483,7 +480,7 @@ def vr_certificate(
     mx = max(norms.n_x, norms.n_u)
 
     c_bar = _c_bar(norms, c, pc.h_cost, r, l, L0, budget.delta_x,
-                   state_bound_mode, self_consistent=False)
+                   state_bound_mode)
     alpha12 = d / r * (max(c_bar - b_s_bound, b_s_bound) + abs(b_s_bound - b_hat))
     eps_sum = budget.eps_l + budget.eps_n + budget.eps_r
     alpha11 = mx**2 * alpha12**2 + (eps_sum + pc.b_grad) ** 2

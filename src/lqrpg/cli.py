@@ -24,6 +24,7 @@ from .estimators import estimate_gradient_covariance
 from .exact import exact_quantities, solve_dare
 from .harness import (
     _json_safe,
+    _load_json,
     config_from_dict,
     emit_bounds_report,
     figure_preset,
@@ -83,23 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    cfg = parse_config(args.config)
-    overrides = dict(cfg.raw)
-    if args.seed is not None:
-        overrides.setdefault("monte_carlo", {})
-        overrides["monte_carlo"] = dict(overrides["monte_carlo"])
-        overrides["monte_carlo"]["master_seed"] = args.seed
-    if args.repetitions is not None:
-        overrides.setdefault("monte_carlo", {})
-        overrides["monte_carlo"] = dict(overrides["monte_carlo"])
-        overrides["monte_carlo"]["repetitions"] = args.repetitions
-    if args.out is not None or args.format is not None:
-        overrides["output"] = dict(overrides.get("output", {}))
-        if args.out is not None:
-            overrides["output"]["dir"] = args.out
-        if args.format is not None:
-            overrides["output"]["format"] = args.format
-    return config_from_dict(overrides)
+    """Read the config file, apply the command-line overrides, validate once.
+    A section that is not an object is left for the validation to report."""
+    data = _load_json(args.config)
+    overrides = {
+        "monte_carlo": {"master_seed": args.seed, "repetitions": args.repetitions},
+        "output": {"dir": args.out, "format": args.format},
+    }
+    if isinstance(data, dict):
+        for section, values in overrides.items():
+            values = {k: v for k, v in values.items() if v is not None}
+            node = data.get(section, {})
+            if values and isinstance(node, dict):
+                data[section] = {**node, **values}
+    return config_from_dict(data)
 
 
 def _threads(args):

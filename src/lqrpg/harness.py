@@ -15,7 +15,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ _OPTIMIZERS = ("mb_pgd", "mb_npg", "mb_gauss_newton", "mf_pgd", "mf_npg",
                "noisy_pgd")
 
 _TOP_KEYS = {"plant", "optimizer", "schedule", "rollout", "from_bounds",
-             "gain", "monte_carlo", "output", "label", "variants"}
+             "gain", "monte_carlo", "output", "label"}
 
 
 def _fmt(x) -> str:
@@ -135,6 +135,15 @@ class _Violations:
             raise ConfigurationError(
                 "invalid configuration:\n  " + "\n  ".join(self.items)
             )
+
+
+def _cov_budget(budget: ErrorBudget) -> CovErrorBudget:
+    """The covariance budget that shares the gradient budget's eps_l, eps_n,
+    eps_r, delta_x and delta_n."""
+    return CovErrorBudget(
+        eps_l=budget.eps_l, eps_n=budget.eps_n, eps_r=budget.eps_r,
+        delta_x=budget.delta_x, delta_n=budget.delta_n,
+    )
 
 
 def _parse_matrix(data, loc, v):
@@ -281,10 +290,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 )
             else:
                 budget = ErrorBudget(**{k: float(fb_data[k]) for k in fb_data})
-            cov_budget = CovErrorBudget(
-                eps_l=budget.eps_l, eps_n=budget.eps_n, eps_r=budget.eps_r,
-                delta_x=budget.delta_x, delta_n=budget.delta_n,
-            )
+            cov_budget = _cov_budget(budget)
         except (ConfigurationError, TypeError, ValueError) as exc:
             v.add("from_bounds", str(exc))
 
@@ -367,23 +373,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(path: str) -> ExperimentConfig:
-    """Load and validate a JSON experiment config from disk."""
+def _load_json(path: str):
+    """The parsed contents of a JSON config file, not yet validated."""
     if not os.path.exists(path):
         raise ConfigurationError(f"config file not found: {path}")
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+
+
+def parse_config(path: str) -> ExperimentConfig:
+    """Load and validate a JSON experiment config from disk."""
+    return config_from_dict(_load_json(path))
 
 
 def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
     """One Monte Carlo repetition; substreams are keyed by ``rep``."""
     seeds = SeedSpec(cfg.master_seed)
-    opt = solve_dare(cfg.plant)
-    c_star = opt.C_star
     if cfg.optimizer == "mb_pgd":
         return run_mb_pgd(cfg.plant, cfg.K0, cfg.schedule, cfg.stop)
     if cfg.optimizer == "mb_npg":
@@ -395,6 +403,8 @@ def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
             cfg.plant, cfg.K0, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
             seeds, run_id=rep,
         )
+    opt = solve_dare(cfg.plant)
+    c_star = opt.C_star
     oracle = RolloutOracle(
         cfg.plant, seeds,
         L0=cfg.rollout.L0 if cfg.rollout is not None else None,
@@ -670,15 +680,8 @@ def figure_preset(
     else:
         raise ConfigurationError(f"unknown figure preset {name!r}")
 
-    parent = config_from_dict({
-        "plant": {"preset": "paper3x3"},
-        "optimizer": {"name": "mb_pgd", "max_iters": 1},
-        "schedule": {"kind": "fixed", "eta": 0.01},
-        "gain": {"preset": "detuned_lqr"},
-        "label": name,
-    })
-    object.__setattr__(parent, "variants", tuple(variants))
-    return parent
+    # run_monte_carlo reads only the label, out_dir and variants of a parent.
+    return replace(variants[0], label=name, variants=tuple(variants))
 
 
 def _fig4_fixed_eta(noise_scale: float) -> float:
@@ -709,10 +712,7 @@ def emit_bounds_report(
         L0 = default_initial_state_bound(plant.Sigma_0)
     norms = PlantNorms.from_plant(plant)
     pc = perturbation_constants(norms, cost_value, c_star)
-    cov_budget = CovErrorBudget(
-        eps_l=budget.eps_l, eps_n=budget.eps_n, eps_r=budget.eps_r,
-        delta_x=budget.delta_x, delta_n=budget.delta_n,
-    )
+    cov_budget = _cov_budget(budget)
     grad_cert = gradient_certificate(norms, cost_value, budget, L0, c_star=c_star)
     cov_cert = covariance_certificate(norms, cost_value, cov_budget, L0,
                                       c_star=c_star)

@@ -1,23 +1,32 @@
-"""Policy-gradient optimization loops over stabilizing feedback gains.
+"""Policy-gradient optimization over stabilizing feedback gains.
 
-Model-based gradient descent, natural gradient, and Gauss-Newton use the
-exact closed-loop quantities; the model-free variants consume a
-:class:`~lqrpg.sim.RolloutOracle` through the zeroth-order estimators; the
-noisy-gradient loop perturbs the exact gradient with seeded Gaussian noise.
-Every loop emits the same :class:`ConvergenceTrace` schema so downstream
-CSVs are uniform.
+Every optimizer is one loop, K <- step(K, direction, eta), driven by a
+direction object. The exact direction evaluates the closed-loop quantities
+(model-based gradient descent, natural gradient, Gauss-Newton, and the
+noisy-gradient loop, whose step adds seeded Gaussian noise). The estimated
+direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
+zeroth-order estimators (model-free gradient descent and natural gradient).
+Each public ``run_*`` function supplies a direction and a step map, so every
+run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
+from .bounds import (
+    PlantNorms,
+    covariance_certificate,
+    gradient_certificate,
+    npg_step_bound,
+    pgd_step_bound,
+)
 from .errors import ConfigurationError, InstabilityError
 from .estimators import estimate_gradient_covariance, estimate_gradient_vr
-from .exact import exact_quantities, solve_dare
+from .exact import ClosedLoopQuantities, exact_quantities, solve_dare
 from .plants import PlantModel, smallest_eigenvalue
 from .sim import Purpose, RolloutConfig, RolloutOracle, SeedSpec
 
@@ -153,91 +162,203 @@ def _rel_subopt(cost: float, c_star: float | None) -> float | None:
     return (cost - c_star) / c_star
 
 
-class _TraceBuilder:
-    def __init__(self, config: dict, seed: int | None = None):
-        self.records: list[IterationRecord] = []
-        self.config = config
-        self.seed = seed
-
-    def add(self, cost, rel, step, grad_norm, status="ok"):
-        self.records.append(
-            IterationRecord(
-                i=len(self.records), cost=float(cost), rel_subopt=rel,
-                step=float(step), grad_norm=float(grad_norm), status=status,
-            )
-        )
-
-    def finish(self, K, reason) -> ConvergenceTrace:
-        return ConvergenceTrace(
-            records=self.records, K_final=np.array(K), terminal_reason=reason,
-            config=self.config, seed=self.seed,
-        )
+def _stop_reason(stop: StopRule, i: int, rel: float | None, grad_norm: float):
+    """Terminal reason at iteration ``i``, or None to keep stepping."""
+    if i >= stop.max_iters:
+        return "max_iters"
+    if stop.rel_subopt_tol is not None and rel is not None and rel <= stop.rel_subopt_tol:
+        return "converged"
+    if stop.grad_tol is not None and grad_norm <= stop.grad_tol:
+        return "stationary"
+    return None
 
 
-def _mb_loop(
-    plant: PlantModel,
-    K0: np.ndarray,
-    schedule: StepSchedule,
-    stop: StopRule,
-    update,
-    flavor: str,
-    config: dict,
-) -> ConvergenceTrace:
-    """Shared driver for the model-based loops.
+class _Point(NamedTuple):
+    """One evaluation of the current gain: its cost, the (estimated)
+    gradient, and the exact quantities or covariance estimate behind them."""
 
-    ``update(K, quantities, eta)`` produces the next gain.
+    i: int
+    cost: float
+    grad: np.ndarray
+    q: ClosedLoopQuantities | None = None
+    cov: object = None
+
+
+class _Exact:
+    """Direction from the exact closed-loop quantities.
+
+    Solves the DARE once for the optimal cost, treats an unstable gain as
+    divergence, and records the final gain after the last step.
     """
-    K = plant.check_gain(K0)
-    opt = solve_dare(plant)
-    c_star = opt.C_star
-    norms = PlantNorms.from_plant(
-        plant, norm_Sigma_star=float(np.linalg.norm(opt.Sigma_star, 2))
-    )
-    try:
-        q = exact_quantities(plant, K)
-    except InstabilityError as exc:
-        raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
-    ceiling = DIVERGENCE_CEILING_FACTOR * max(q.cost, 1.0)
-    tb = _TraceBuilder(config)
 
-    for _ in range(stop.max_iters):
-        grad_norm = float(np.linalg.norm(q.grad, "fro"))
-        eta = schedule.step_size(q.cost, norms, flavor, c_star=c_star)
-        rel = _rel_subopt(q.cost, c_star)
-        if stop.rel_subopt_tol is not None and rel is not None and rel <= stop.rel_subopt_tol:
-            tb.add(q.cost, rel, 0.0, grad_norm)
-            return tb.finish(K, "converged")
-        if stop.grad_tol is not None and grad_norm <= stop.grad_tol:
-            tb.add(q.cost, rel, 0.0, grad_norm)
-            return tb.finish(K, "stationary")
-        tb.add(q.cost, rel, eta, grad_norm)
-        K_next = update(K, q, eta)
+    failure = "diverged"
+    records_final = True
+
+    def __init__(self, plant: PlantModel, schedule: StepSchedule):
+        self.plant = plant
+        opt = solve_dare(plant)
+        self.c_star = self.step_c_star = opt.C_star
+        self.norms = None
+        if schedule.kind != "fixed":
+            self.norms = PlantNorms.from_plant(
+                plant, norm_Sigma_star=float(np.linalg.norm(opt.Sigma_star, 2))
+            )
+
+    def start(self, K0) -> np.ndarray:
+        return self.plant.check_gain(K0)
+
+    def evaluate(self, K: np.ndarray, i: int) -> _Point | None:
         try:
-            q_next = exact_quantities(plant, K_next)
-        except InstabilityError:
-            tb.add(math.inf, None, 0.0, math.nan, status="diverged")
-            return tb.finish(K_next, "diverged")
-        if not math.isfinite(q_next.cost) or q_next.cost > ceiling:
-            tb.add(q_next.cost, _rel_subopt(q_next.cost, c_star), 0.0,
-                   float(np.linalg.norm(q_next.grad, "fro")), status="diverged")
-            return tb.finish(K_next, "diverged")
-        K, q = K_next, q_next
+            q = exact_quantities(self.plant, K)
+        except InstabilityError as exc:
+            if i == 0:
+                raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
+            return None
+        return _Point(i, q.cost, q.grad, q=q)
 
-    rel = _rel_subopt(q.cost, c_star)
-    tb.add(q.cost, rel, 0.0, float(np.linalg.norm(q.grad, "fro")))
-    return tb.finish(K, "max_iters")
+
+class _Estimated:
+    """Direction from zeroth-order estimates through a rollout oracle.
+
+    The recorded cost is the mean of the iteration's rollout costs, the only
+    cost observable without the model. Rollout parameters are ``rollout_cfg``
+    when given; otherwise ``certify(cost)`` derives them from a certificate
+    at the last observed cost, every iteration ("online") or once
+    ("offline"). ``estimator(K, i)`` replaces the estimate entirely (testing
+    hook).
+    """
+
+    failure = "estimate_failed"
+    records_final = False
+    step_c_star = 0.0
+
+    def __init__(self, estimate, certify, rollout_cfg, norms, cert_source,
+                 c_star, max_failures, estimator, run_offset):
+        if cert_source not in ("online", "offline"):
+            raise ConfigurationError(
+                f"cert_source must be online/offline, got {cert_source}"
+            )
+        self.estimate, self.certify = estimate, certify
+        self.rollout_cfg, self.norms, self.cert_source = rollout_cfg, norms, cert_source
+        self.c_star, self.max_failures = c_star, max_failures
+        self.estimator, self.run_offset = estimator, run_offset
+        self.cost = None
+        self.cached = None
+
+    def start(self, K0) -> np.ndarray:
+        return np.asarray(K0, dtype=float)
+
+    def _config(self) -> RolloutConfig:
+        if self.rollout_cfg is not None:
+            return self.rollout_cfg
+        if self.cached is not None:
+            return self.cached
+        if self.cost is None:
+            raise ConfigurationError(
+                "from-bounds model-free runs need an initial rollout configuration "
+                "or an initial cost; provide rollout_cfg for the first iteration"
+            )
+        cfg = self.certify(self.cost)
+        if self.cert_source == "offline":
+            self.cached = cfg
+        return cfg
+
+    def evaluate(self, K: np.ndarray, i: int) -> _Point | None:
+        if self.estimator is not None:
+            g, cov = self.estimator(K, i)
+        else:
+            g, cov = self.estimate(K, self._config(), self.run_offset + i)
+        if g.failed:
+            return None
+        cost = math.nan
+        if g.rollout_costs is not None and len(g.rollout_costs):
+            cost = self.cost = float(np.mean(g.rollout_costs))
+        return _Point(i, cost, g.value, cov=cov)
+
+
+def _optimize(direction, K0, schedule: StepSchedule, stop: StopRule, step,
+              flavor: str, config: dict, seed: int | None = None) -> ConvergenceTrace:
+    """The one optimization loop.
+
+    Each iteration evaluates the current gain, stops on divergence (cost
+    past ``DIVERGENCE_CEILING_FACTOR`` times the first finite cost) or the
+    stop rule, and otherwise moves to ``step(K, point, eta)``. A failed
+    evaluation ends the run as ``direction.failure`` "diverged"; otherwise
+    it counts, like a step that returns None, toward
+    ``direction.max_failures`` consecutive failures. Exact directions
+    evaluate once more after the last step to record the final gain.
+    """
+    records: list[IterationRecord] = []
+
+    def record(cost, rel, eta, grad_norm, status="ok"):
+        records.append(IterationRecord(
+            i=len(records), cost=float(cost), rel_subopt=rel, step=float(eta),
+            grad_norm=float(grad_norm), status=status,
+        ))
+
+    def finish(K, reason) -> ConvergenceTrace:
+        return ConvergenceTrace(records=records, K_final=np.array(K),
+                                terminal_reason=reason, config=config, seed=seed)
+
+    K = direction.start(K0)
+    ceiling = None
+    failures = 0
+    for i in range(stop.max_iters + direction.records_final):
+        pt = direction.evaluate(K, i)
+        if pt is None:
+            record(math.inf, None, 0.0, math.nan, status=direction.failure)
+            if direction.failure == "diverged":
+                return finish(K, "diverged")
+        else:
+            grad_norm = float(np.linalg.norm(pt.grad, "fro"))
+            rel = _rel_subopt(pt.cost, direction.c_star)
+            if ceiling is None and math.isfinite(pt.cost):
+                ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)
+            if ceiling is not None and (not math.isfinite(pt.cost) or pt.cost > ceiling):
+                record(pt.cost, rel, 0.0, grad_norm, status="diverged")
+                return finish(K, "diverged")
+            reason = _stop_reason(stop, i, rel, grad_norm)
+            if reason is not None:
+                record(pt.cost, rel, 0.0, grad_norm)
+                return finish(K, reason)
+            eta = schedule.step_size(pt.cost, direction.norms, flavor,
+                                     c_star=direction.step_c_star)
+            K_next = step(K, pt, eta)
+            if K_next is not None:
+                failures = 0
+                record(pt.cost, rel, eta, grad_norm)
+                K = K_next
+                continue
+            record(pt.cost, rel, 0.0, grad_norm, status="estimate_failed")
+        failures += 1
+        if failures >= direction.max_failures:
+            return finish(K, "too_many_failures")
+    return finish(K, "max_iters")
+
+
+def _gradient_step(K, pt, eta):
+    return K - eta * pt.grad
 
 
 def run_mb_pgd(
     plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
 ) -> ConvergenceTrace:
     """Exact policy gradient descent K <- K - eta * grad C(K)."""
-    return _mb_loop(
-        plant, K0, schedule, stop,
-        update=lambda K, q, eta: K - eta * q.grad,
-        flavor="pgd",
+    return _optimize(
+        _Exact(plant, schedule), K0, schedule, stop, _gradient_step, "pgd",
         config={"optimizer": "mb_pgd", "schedule": schedule.kind},
     )
+
+
+def _natural_step(K, pt, eta):
+    direct = K - 2.0 * eta * pt.q.E
+    via_inverse = K - eta * pt.grad @ np.linalg.inv(pt.q.Sigma)
+    err = np.linalg.norm(direct - via_inverse, "fro")
+    if err > 1e-10 * max(1.0, np.linalg.norm(direct, "fro")):
+        raise ConfigurationError(
+            f"natural-gradient identity violated (discrepancy {err:.3e})"
+        )
+    return direct
 
 
 def run_mb_npg(
@@ -248,19 +369,8 @@ def run_mb_npg(
     The update equals K - eta * grad C(K) Sigma_K^{-1}; both forms are
     evaluated and must agree to 1e-10, which guards the Lyapunov solves.
     """
-
-    def update(K, q, eta):
-        direct = K - 2.0 * eta * q.E
-        via_inverse = K - eta * q.grad @ np.linalg.inv(q.Sigma)
-        err = np.linalg.norm(direct - via_inverse, "fro")
-        if err > 1e-10 * max(1.0, np.linalg.norm(direct, "fro")):
-            raise ConfigurationError(
-                f"natural-gradient identity violated (discrepancy {err:.3e})"
-            )
-        return direct
-
-    return _mb_loop(
-        plant, K0, schedule, stop, update, flavor="npg",
+    return _optimize(
+        _Exact(plant, schedule), K0, schedule, stop, _natural_step, "npg",
         config={"optimizer": "mb_npg", "schedule": schedule.kind},
     )
 
@@ -276,102 +386,47 @@ def run_mb_gauss_newton(
     if not (0.0 < eta <= 0.5):
         raise ConfigurationError(f"Gauss-Newton requires 0 < eta <= 1/2, got {eta}")
 
-    def update(K, q, eta_i):
-        G = plant.R + plant.B.T @ q.P @ plant.B
-        return K - 2.0 * eta_i * np.linalg.solve(G, q.E)
+    def step(K, pt, eta_i):
+        G = plant.R + plant.B.T @ pt.q.P @ plant.B
+        return K - 2.0 * eta_i * np.linalg.solve(G, pt.q.E)
 
-    return _mb_loop(
-        plant, K0, StepSchedule(kind="fixed", eta=eta), stop, update,
-        flavor="pgd",
+    schedule = StepSchedule(kind="fixed", eta=eta)
+    return _optimize(
+        _Exact(plant, schedule), K0, schedule, stop, step, "pgd",
         config={"optimizer": "mb_gauss_newton", "eta": eta},
     )
 
 
-def _mf_loop(
-    oracle: RolloutOracle,
+def run_noisy_gradient_pgd(
+    plant: PlantModel,
     K0: np.ndarray,
-    schedule: StepSchedule,
+    eta: float,
+    noise_sigma: float,
     stop: StopRule,
-    estimator,
-    update,
-    flavor: str,
-    norms: PlantNorms | None,
-    c_star: float | None,
-    max_consecutive_failures: int,
-    config: dict,
+    seeds: SeedSpec,
+    run_id: int = 0,
 ) -> ConvergenceTrace:
-    """Shared driver for the model-free loops.
+    """Gradient descent on the exact gradient plus i.i.d. Gaussian noise:
+    K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2)."""
+    if not eta > 0:
+        raise ConfigurationError(f"eta must be positive, got {eta}")
+    if noise_sigma < 0:
+        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
-    ``estimator(K, i)`` returns (GradientEstimate, CovarianceEstimate or
-    None); ``update(K, grad_est, cov_est, eta)`` returns (K_next, failed).
-    The recorded cost is the mean of the iteration's rollout costs — the
-    only cost observable without the model.
-    """
-    K = np.asarray(K0, dtype=float)
-    tb = _TraceBuilder(config)
-    ceiling = None
-    failures = 0
+    def step(K, pt, eta_i):
+        delta = 0.0
+        if noise_sigma > 0:
+            rng = seeds.generator(run_id, pt.i, Purpose.PERTURBATION)
+            delta = noise_sigma * rng.standard_normal((plant.n_u, plant.n_x))
+        return K - eta_i * (pt.grad + delta)
 
-    for i in range(stop.max_iters):
-        grad_est, cov_est = estimator(K, i)
-        if grad_est.failed:
-            failures += 1
-            tb.add(math.inf, None, 0.0, math.nan, status="estimate_failed")
-            if failures >= max_consecutive_failures:
-                return tb.finish(K, "too_many_failures")
-            continue
-        if grad_est.rollout_costs is not None and len(grad_est.rollout_costs):
-            cost = float(np.mean(grad_est.rollout_costs))
-        else:
-            cost = math.nan
-        if ceiling is None and math.isfinite(cost):
-            ceiling = DIVERGENCE_CEILING_FACTOR * max(cost, 1.0)
-        if ceiling is not None and (not math.isfinite(cost) or cost > ceiling):
-            tb.add(cost, _rel_subopt(cost, c_star), 0.0,
-                   float(np.linalg.norm(grad_est.value, "fro")), status="diverged")
-            return tb.finish(K, "diverged")
-        grad_norm = float(np.linalg.norm(grad_est.value, "fro"))
-        rel = _rel_subopt(cost, c_star)
-        if stop.rel_subopt_tol is not None and rel is not None and rel <= stop.rel_subopt_tol:
-            tb.add(cost, rel, 0.0, grad_norm)
-            return tb.finish(K, "converged")
-        eta = schedule.step_size(cost, norms, flavor)
-        K_next, failed = update(K, grad_est, cov_est, eta)
-        if failed:
-            failures += 1
-            tb.add(cost, rel, 0.0, grad_norm, status="estimate_failed")
-            if failures >= max_consecutive_failures:
-                return tb.finish(K, "too_many_failures")
-            continue
-        failures = 0
-        tb.add(cost, rel, eta, grad_norm)
-        K = K_next
-
-    return tb.finish(K, "max_iters")
-
-
-def _resolve_rollout_cfg(
-    oracle, rollout_cfg, norms, budget, cert_source, cost, cached
-):
-    """Explicit (n, l, r) wins; otherwise derive from the certificate at the
-    supplied cost, caching the offline evaluation."""
-    from .bounds import gradient_certificate
-
-    if rollout_cfg is not None:
-        return rollout_cfg, cached
-    if norms is None or budget is None:
-        raise ConfigurationError(
-            "model-free run needs explicit rollout parameters or norms+budget"
-        )
-    if cert_source == "offline" and cached is not None:
-        return cached, cached
-    cert = gradient_certificate(norms, cost, budget, L0=oracle.L0)
-    cfg = RolloutConfig(
-        n=max(cert.N1, cert.N2), l=cert.l_min, r=cert.r_max, L0=oracle.L0
+    schedule = StepSchedule(kind="fixed", eta=eta)
+    return _optimize(
+        _Exact(plant, schedule), K0, schedule, stop, step, "pgd",
+        config={"optimizer": "noisy_gradient_pgd", "eta": eta,
+                "noise_sigma": noise_sigma},
+        seed=seeds.master_seed,
     )
-    if cert_source == "offline":
-        cached = cfg
-    return cfg, cached
 
 
 def run_mf_pgd(
@@ -398,53 +453,27 @@ def run_mf_pgd(
     variance-reduced estimator with ``n_v`` baseline rollouts. ``estimator``
     overrides the estimator entirely (testing hook).
     """
-    if cert_source not in ("online", "offline"):
-        raise ConfigurationError(f"cert_source must be online/offline, got {cert_source}")
-    state = {"cached": None, "cost": None}
 
-    def default_estimator(K, i):
-        cost = state["cost"]
-        if cost is None:
-            cost = _probe_cost(oracle, K, rollout_cfg, run_id=run_offset)
-        cfg, state["cached"] = _resolve_rollout_cfg(
-            oracle, rollout_cfg, norms, budget, cert_source, cost, state["cached"]
-        )
-        rid = run_offset + i
+    def estimate(K, cfg, rid):
         if use_vr:
-            g = estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True)
-            return g, None
-        g, _ = estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
-        return g, None
+            return estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True), None
+        return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
 
-    est = estimator if estimator is not None else default_estimator
+    def certify(cost):
+        if norms is None or budget is None:
+            raise ConfigurationError(
+                "model-free run needs explicit rollout parameters or norms+budget"
+            )
+        g = gradient_certificate(norms, cost, budget, L0=oracle.L0)
+        return RolloutConfig(n=max(g.N1, g.N2), l=g.l_min, r=g.r_max, L0=oracle.L0)
 
-    def wrapped_estimator(K, i):
-        g, c = est(K, i)
-        if not g.failed and g.rollout_costs is not None and len(g.rollout_costs):
-            state["cost"] = float(np.mean(g.rollout_costs))
-        return g, c
-
-    def update(K, grad_est, cov_est, eta):
-        return K - eta * grad_est.value, False
-
-    return _mf_loop(
-        oracle, K0, schedule, stop, wrapped_estimator, update, "pgd",
-        norms, c_star, max_consecutive_failures,
+    direction = _Estimated(estimate, certify, rollout_cfg, norms, cert_source,
+                           c_star, max_consecutive_failures, estimator, run_offset)
+    return _optimize(
+        direction, K0, schedule, stop, _gradient_step, "pgd",
         config={"optimizer": "mf_pgd", "schedule": schedule.kind,
                 "cert_source": cert_source, "use_vr": use_vr},
     )
-
-
-def _probe_cost(oracle, K, rollout_cfg, run_id):
-    """One unperturbed rollout to seed the certificate/step machinery."""
-    if rollout_cfg is None:
-        raise ConfigurationError(
-            "from-bounds model-free runs need an initial rollout configuration "
-            "or an initial cost; provide rollout_cfg for the first iteration"
-        )
-    x0 = oracle.draw_initial_state(run_id, 0)
-    traj = oracle.rollout(K, x0, rollout_cfg.l, run_id, 0, Purpose.NOISE)
-    return oracle.stage_cost(traj.states, K)
 
 
 def run_mf_npg(
@@ -472,121 +501,38 @@ def run_mf_npg(
     1e-8); otherwise the iteration is an estimate failure. When both budgets
     are given, (n, l, r) combine the two certificates as max/max/min.
     """
-    if cert_source not in ("online", "offline"):
-        raise ConfigurationError(f"cert_source must be online/offline, got {cert_source}")
     if cov_floor is None:
         cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
-    state = {"cached": None, "cost": None}
 
-    def resolve(cost):
-        from .bounds import covariance_certificate, gradient_certificate
+    def estimate(K, cfg, rid):
+        return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
 
-        if rollout_cfg is not None:
-            return rollout_cfg
+    def certify(cost):
         if norms is None or budget is None or cov_budget is None:
             raise ConfigurationError(
                 "model-free NPG needs explicit rollout parameters or "
                 "norms + both budgets"
             )
-        if cert_source == "offline" and state["cached"] is not None:
-            return state["cached"]
         g = gradient_certificate(norms, cost, budget, L0=oracle.L0)
         s = covariance_certificate(norms, cost, cov_budget, L0=oracle.L0)
-        cfg = RolloutConfig(
+        return RolloutConfig(
             n=max(max(g.N1, g.N2), s.n_min_prime),
             l=max(g.l_min, s.l_min_prime),
             r=min(g.r_max, s.r_max_prime),
             L0=oracle.L0,
         )
-        if cert_source == "offline":
-            state["cached"] = cfg
-        return cfg
 
-    def default_estimator(K, i):
-        cost = state["cost"]
-        if cost is None:
-            cost = _probe_cost(oracle, K, rollout_cfg, run_id=run_offset)
-        cfg = resolve(cost)
-        return estimate_gradient_covariance(
-            oracle, K, cfg, run_id=run_offset + i, keep_terms=True
-        )
+    def step(K, pt, eta):
+        if pt.cov is None or pt.cov.failed:
+            return None
+        if smallest_eigenvalue(pt.cov.value) < cov_floor:
+            return None
+        return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
 
-    est = estimator if estimator is not None else default_estimator
-
-    def wrapped_estimator(K, i):
-        g, c = est(K, i)
-        if not g.failed and g.rollout_costs is not None and len(g.rollout_costs):
-            state["cost"] = float(np.mean(g.rollout_costs))
-        return g, c
-
-    def update(K, grad_est, cov_est, eta):
-        if cov_est is None or cov_est.failed:
-            return K, True
-        lam = smallest_eigenvalue(cov_est.value)
-        if lam < cov_floor:
-            return K, True
-        return K - eta * grad_est.value @ np.linalg.inv(cov_est.value), False
-
-    return _mf_loop(
-        oracle, K0, schedule, stop, wrapped_estimator, update, "npg",
-        norms, c_star, max_consecutive_failures,
+    direction = _Estimated(estimate, certify, rollout_cfg, norms, cert_source,
+                           c_star, max_consecutive_failures, estimator, run_offset)
+    return _optimize(
+        direction, K0, schedule, stop, step, "npg",
         config={"optimizer": "mf_npg", "schedule": schedule.kind,
                 "cert_source": cert_source},
     )
-
-
-def run_noisy_gradient_pgd(
-    plant: PlantModel,
-    K0: np.ndarray,
-    eta: float,
-    noise_sigma: float,
-    stop: StopRule,
-    seeds: SeedSpec,
-    run_id: int = 0,
-) -> ConvergenceTrace:
-    """Gradient descent on the exact gradient plus i.i.d. Gaussian noise:
-    K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2)."""
-    if not eta > 0:
-        raise ConfigurationError(f"eta must be positive, got {eta}")
-    if noise_sigma < 0:
-        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    K = plant.check_gain(K0)
-    opt = solve_dare(plant)
-    c_star = opt.C_star
-    try:
-        q = exact_quantities(plant, K)
-    except InstabilityError as exc:
-        raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
-    ceiling = DIVERGENCE_CEILING_FACTOR * max(q.cost, 1.0)
-    tb = _TraceBuilder(
-        {"optimizer": "noisy_gradient_pgd", "eta": eta, "noise_sigma": noise_sigma},
-        seed=seeds.master_seed,
-    )
-
-    for i in range(stop.max_iters):
-        grad_norm = float(np.linalg.norm(q.grad, "fro"))
-        rel = _rel_subopt(q.cost, c_star)
-        if stop.rel_subopt_tol is not None and rel is not None and rel <= stop.rel_subopt_tol:
-            tb.add(q.cost, rel, 0.0, grad_norm)
-            return tb.finish(K, "converged")
-        tb.add(q.cost, rel, eta, grad_norm)
-        if noise_sigma > 0:
-            rng = seeds.generator(run_id, i, Purpose.PERTURBATION)
-            delta = noise_sigma * rng.standard_normal((plant.n_u, plant.n_x))
-        else:
-            delta = 0.0
-        K_next = K - eta * (q.grad + delta)
-        try:
-            q_next = exact_quantities(plant, K_next)
-        except InstabilityError:
-            tb.add(math.inf, None, 0.0, math.nan, status="diverged")
-            return tb.finish(K_next, "diverged")
-        if not math.isfinite(q_next.cost) or q_next.cost > ceiling:
-            tb.add(q_next.cost, _rel_subopt(q_next.cost, c_star), 0.0,
-                   float(np.linalg.norm(q_next.grad, "fro")), status="diverged")
-            return tb.finish(K_next, "diverged")
-        K, q = K_next, q_next
-
-    rel = _rel_subopt(q.cost, c_star)
-    tb.add(q.cost, rel, 0.0, float(np.linalg.norm(q.grad, "fro")))
-    return tb.finish(K, "max_iters")

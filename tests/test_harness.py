@@ -55,12 +55,14 @@ class TestConfigValidation:
         data["bogus_top"] = 1
         data["optimizer"]["name"] = "mf_pgd"  # needs rollout/from_bounds
         data["rollout_typo"] = {}
+        data["variants"] = []
         data["schedule"] = {"kind": "nope"}
         with pytest.raises(ConfigurationError) as exc:
             config_from_dict(data)
         msg = str(exc.value)
         assert "bogus_top" in msg
         assert "rollout_typo" in msg
+        assert "variants: unknown key" in msg
         assert "rollout" in msg
         assert "schedule" in msg
 
@@ -302,6 +304,26 @@ class TestCli:
         assert main(["mb-run", "--config", path, "--out", b, "--seed", "2"]) == EXIT_OK
         pa, pb = os.path.join(a, "run_0000.csv"), os.path.join(b, "run_0000.csv")
         assert open(pa).read() != open(pb).read()
+
+    def test_overrides_validate_once(self, tmp_path, monkeypatch):
+        import lqrpg.cli
+        import lqrpg.harness
+
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return config_from_dict(data)
+
+        monkeypatch.setattr(lqrpg.harness, "config_from_dict", counting)
+        monkeypatch.setattr(lqrpg.cli, "config_from_dict", counting)
+        path = self.write(tmp_path, base_config())
+        out = str(tmp_path / "out")
+        assert main(["mb-run", "--config", path, "--out", out,
+                     "--seed", "3", "--repetitions", "2"]) == EXIT_OK
+        assert len(calls) == 1
+        assert calls[0]["monte_carlo"] == {"repetitions": 2, "master_seed": 3}
+        assert calls[0]["output"] == {"dir": out, "format": "csv"}
 
     def test_estimate_reports_error(self, tmp_path, capsys):
         data = base_config(**{"optimizer.name": "mf_pgd"})

@@ -250,6 +250,30 @@ class TestModelFreePgd:
         assert q.cost < 4.0 / 3.0
         assert q.cost - OPT.C_star < 0.1
 
+    def test_exact_stub_stops_stationary_like_model_based(self):
+        stop = StopRule(max_iters=500, grad_tol=1e-6)
+        sched = StepSchedule(kind="fixed", eta=0.1)
+        oracle = RolloutOracle(S1, SeedSpec(0))
+        mf = run_mf_pgd(oracle, K_ZERO, sched, stop, estimator=exact_stub(S1))
+        mb = run_mb_pgd(S1, K_ZERO, sched, stop)
+        assert mf.terminal_reason == mb.terminal_reason == "stationary"
+        assert len(mf.records) == len(mb.records) < 500
+        assert mf.records[-1].grad_norm <= 1e-6
+        assert mf.records[-1].step == 0.0
+        np.testing.assert_array_equal(mf.K_final, mb.K_final)
+
+    def test_explicit_rollout_config_runs_no_probe_rollout(self, monkeypatch):
+        def no_rollout(self, *args, **kwargs):
+            raise AssertionError("unexpected single rollout")
+
+        monkeypatch.setattr(RolloutOracle, "rollout", no_rollout)
+        oracle = RolloutOracle(S1, SeedSpec(0))
+        cfg = RolloutConfig(n=20, l=20, r=0.1, L0=3.0)
+        trace = run_mf_pgd(oracle, K_ZERO, StepSchedule(kind="fixed", eta=0.05),
+                           StopRule(max_iters=2), rollout_cfg=cfg)
+        assert trace.terminal_reason == "max_iters"
+        assert len(trace.records) == 2
+
     def test_rejects_bad_cert_source(self):
         oracle = RolloutOracle(S1, SeedSpec(0))
         with pytest.raises(ConfigurationError):
@@ -327,6 +351,20 @@ class TestNoisyGradient:
                                            seeds=SeedSpec(1), run_id=run)
             diverged += trace.terminal_reason == "diverged"
         assert diverged > 0
+
+    def test_grad_tol_stops_stationary(self):
+        at_opt = run_noisy_gradient_pgd(S1, OPT.K_star, eta=0.1, noise_sigma=0.5,
+                                        stop=StopRule(max_iters=50, grad_tol=1e-8),
+                                        seeds=SeedSpec(0))
+        assert at_opt.terminal_reason == "stationary"
+        assert len(at_opt.records) == 1
+        stop = StopRule(max_iters=500, grad_tol=1e-6)
+        noisy = run_noisy_gradient_pgd(S1, K_ZERO, eta=0.1, noise_sigma=0.0,
+                                       stop=stop, seeds=SeedSpec(0))
+        mb = run_mb_pgd(S1, K_ZERO, StepSchedule(kind="fixed", eta=0.1), stop)
+        assert noisy.terminal_reason == "stationary"
+        assert len(noisy.records) == len(mb.records) < 500
+        assert noisy.records[-1].grad_norm <= 1e-6
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
