@@ -456,8 +456,6 @@ def vr_certificate(
     c_star: float = 0.0,
     norm_K: float | None = None,
     r: float | None = None,
-    delta_v_tilde: float | None = None,
-    delta_x_tilde: float | None = None,
     state_bound_mode: str = "paper",
 ) -> SampleCertificate:
     """Rollout-count requirement N3 for the variance-reduced estimator and
@@ -492,9 +490,7 @@ def vr_certificate(
         * log_d
     )
 
-    delta_v = budget.delta_d if delta_v_tilde is None else delta_v_tilde
-    delta_xt = budget.delta_x if delta_x_tilde is None else delta_x_tilde
-    sb = state_bound(L0, l, norms.trace_Sigma_w, delta_xt, mode=state_bound_mode)
+    sb = state_bound(L0, l, norms.trace_Sigma_w, budget.delta_x, mode=state_bound_mode)
     c_bar_v = c / norms.lam_Sigma_w * (L0 + (l - 1) * sb.w_bar) ** 2
     c_bar_ev = c / norms.lam_Sigma_w * (L0 + (l - 1) * norms.norm_Sigma_w) ** 2
     eps_v = min(b_s_bound, c_bar - b_s_bound)
@@ -503,7 +499,7 @@ def vr_certificate(
             2.0 / eps_v**2
             * ((c_bar_ev + c_bar_v) ** 2
                + ((c_bar_ev**2 + c_bar_v**2) * eps_v) / 3.0)
-            * math.log(2.0 / delta_v)
+            * math.log(2.0 / budget.delta_d)
         )
         n_tilde = _ceil_int(n_tilde_raw)
     else:

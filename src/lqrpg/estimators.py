@@ -62,17 +62,61 @@ class BaselineEstimate:
 def _draw_perturbations(
     oracle: RolloutOracle, r: float, n: int, run_id: int
 ) -> np.ndarray:
-    U = np.empty((n, oracle.n_u, oracle.n_x))
-    for k in range(n):
-        U[k] = oracle.draw_perturbation(r, run_id, k)
-    return U
+    return np.array([oracle.draw_perturbation(r, run_id, k) for k in range(n)])
 
 
 def _draw_initial_states(oracle: RolloutOracle, n: int, run_id: int) -> np.ndarray:
-    x0 = np.empty((n, oracle.n_x))
-    for k in range(n):
-        x0[k] = oracle.draw_initial_state(run_id, k)
-    return x0
+    return np.array([oracle.draw_initial_state(run_id, k) for k in range(n)])
+
+
+def _rollout_costs(oracle, Ks, x0s, l, run_id, ids, purpose):
+    """Roll out and price one batch: (states, costs (n,), None), or
+    (states, None, index of the first overflowed rollout)."""
+    states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, purpose)
+    if np.any(overflow >= 0):
+        return states, None, int(np.argmax(overflow >= 0))
+    # Finite states can still give costs that overflow to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return states, oracle.stage_cost(states, Ks), None
+
+
+def _baselines(oracle, K, x0s, n_v, l, run_id, rollout_base):
+    """Mean cost of n_v rollouts of K from each row k of x0s, on baseline ids
+    rollout_base + [k n_v, (k+1) n_v): (baselines, None), or (None, the first
+    row with an overflowed rollout)."""
+    if n_v < 1:
+        raise ConfigurationError(f"n_v must be >= 1, got {n_v}")
+    m = len(x0s)
+    Ks = np.broadcast_to(K, (m * n_v, *K.shape))
+    ids = range(rollout_base, rollout_base + m * n_v)
+    _, costs, bad = _rollout_costs(oracle, Ks, np.repeat(x0s, n_v, axis=0), l,
+                                   run_id, ids, Purpose.BASELINE)
+    if bad is not None:
+        return None, bad // n_v
+    return costs.reshape(m, n_v).mean(axis=1), None
+
+
+def _failed(oracle, bad, meta):
+    """NaN gradient and covariance estimates, failed at rollout ``bad``."""
+    fail = dict(failed=True, failed_rollout=bad, **meta)
+    return (
+        GradientEstimate(value=np.full((oracle.n_u, oracle.n_x), np.nan), **fail),
+        CovarianceEstimate(value=np.full((oracle.n_x, oracle.n_x), np.nan), **fail),
+    )
+
+
+def _gradient(U, costs, baselines, cfg, keep_terms, meta) -> GradientEstimate:
+    """Sphere estimate (n_x n_u / r^2) mean_k (C_k - b_k) U_k; the plain
+    estimator's baselines are 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (U[0].size / cfg.r**2) * (costs - baselines)[:, None, None] * U
+        value = terms.mean(axis=0)
+    return GradientEstimate(
+        value=value,
+        per_rollout_terms=terms if keep_terms else None,
+        rollout_costs=costs if keep_terms else None,
+        **meta,
+    )
 
 
 def estimate_gradient_covariance(
@@ -90,37 +134,18 @@ def estimate_gradient_covariance(
     covariance for Sigma. The dimension multiplier is n_x * n_u.
     """
     K = np.asarray(K, dtype=float)
-    d = oracle.n_x * oracle.n_u
     U = _draw_perturbations(oracle, cfg.r, cfg.n, run_id)
     x0s = _draw_initial_states(oracle, cfg.n, run_id)
-    states, overflow = oracle.rollout_batch(
-        K[None, :, :] + U, x0s, cfg.l, run_id, range(cfg.n), Purpose.NOISE
-    )
+    states, costs, bad = _rollout_costs(oracle, K + U, x0s, cfg.l, run_id,
+                                        range(cfg.n), Purpose.NOISE)
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
-    if np.any(overflow >= 0):
-        bad = int(np.argmax(overflow >= 0))
-        nanm = np.full((oracle.n_u, oracle.n_x), np.nan)
-        nans = np.full((oracle.n_x, oracle.n_x), np.nan)
-        return (
-            GradientEstimate(value=nanm, failed=True, failed_rollout=bad, **meta),
-            CovarianceEstimate(value=nans, failed=True, failed_rollout=bad, **meta),
-        )
-    costs = np.array(
-        [oracle.stage_cost(states[k], K + U[k]) for k in range(cfg.n)]
-    )
-    terms = (d / cfg.r**2) * costs[:, None, None] * U
-    grad = terms.mean(axis=0)
-    cov = np.einsum("kti,ktj->ij", states, states) / (cfg.n * cfg.l)
-    cov = 0.5 * (cov + cov.T)
-    return (
-        GradientEstimate(
-            value=grad,
-            per_rollout_terms=terms if keep_terms else None,
-            rollout_costs=costs if keep_terms else None,
-            **meta,
-        ),
-        CovarianceEstimate(value=cov, **meta),
-    )
+    if bad is not None:
+        return _failed(oracle, bad, meta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.einsum("kti,ktj->ij", states, states) / (cfg.n * cfg.l)
+        cov = 0.5 * (cov + cov.T)
+    return (_gradient(U, costs, 0.0, cfg, keep_terms, meta),
+            CovarianceEstimate(value=cov, **meta))
 
 
 def estimate_baseline(
@@ -138,18 +163,12 @@ def estimate_baseline(
     Baseline rollouts draw from dedicated noise substreams starting at
     ``rollout_base`` so they never collide with the main rollouts.
     """
-    if n_v < 1:
-        raise ConfigurationError(f"n_v must be >= 1, got {n_v}")
     K = np.asarray(K, dtype=float)
     x0 = np.asarray(x0, dtype=float).reshape(oracle.n_x)
-    Ks = np.broadcast_to(K, (n_v, *K.shape))
-    x0s = np.broadcast_to(x0, (n_v, oracle.n_x))
-    ids = range(rollout_base, rollout_base + n_v)
-    states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, Purpose.BASELINE)
-    if np.any(overflow >= 0):
+    baselines, bad = _baselines(oracle, K, x0[None], n_v, l, run_id, rollout_base)
+    if bad is not None:
         return BaselineEstimate(value=np.nan, n_v_used=n_v, x0=x0, failed=True)
-    costs = [oracle.stage_cost(states[j], K) for j in range(n_v)]
-    return BaselineEstimate(value=float(np.mean(costs)), n_v_used=n_v, x0=x0)
+    return BaselineEstimate(value=float(baselines[0]), n_v_used=n_v, x0=x0)
 
 
 def estimate_gradient_vr(
@@ -164,53 +183,21 @@ def estimate_gradient_vr(
     baseline from each rollout cost before averaging.
 
     cfg.n plays the role of the outer rollout count; each outer rollout
-    estimates its own baseline from n_v unperturbed rollouts started at the
+    estimates its own baseline, as :func:`estimate_baseline` with
+    ``rollout_base = k * n_v``, from n_v unperturbed rollouts started at the
     same initial state.
     """
     K = np.asarray(K, dtype=float)
-    d = oracle.n_x * oracle.n_u
-    n_b = cfg.n
-    x0s = _draw_initial_states(oracle, n_b, run_id)
-    U = _draw_perturbations(oracle, cfg.r, n_b, run_id)
-
-    # All baseline rollouts in one batch: outer rollout k owns baseline
-    # substreams [k*n_v, (k+1)*n_v).
-    Ks_base = np.broadcast_to(K, (n_b * n_v, *K.shape))
-    x0s_base = np.repeat(x0s, n_v, axis=0)
-    b_states, b_overflow = oracle.rollout_batch(
-        Ks_base, x0s_base, cfg.l, run_id, range(n_b * n_v), Purpose.BASELINE
-    )
-    meta = dict(n_used=n_b, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
-    if np.any(b_overflow >= 0):
-        bad = int(np.argmax(b_overflow >= 0)) // n_v
-        return GradientEstimate(
-            value=np.full((oracle.n_u, oracle.n_x), np.nan),
-            failed=True, failed_rollout=bad, **meta,
-        )
-    b_costs = np.array(
-        [oracle.stage_cost(b_states[j], K) for j in range(n_b * n_v)]
-    )
-    baselines = b_costs.reshape(n_b, n_v).mean(axis=1)
-
-    states, overflow = oracle.rollout_batch(
-        K[None, :, :] + U, x0s, cfg.l, run_id, range(n_b), Purpose.NOISE
-    )
-    if np.any(overflow >= 0):
-        bad = int(np.argmax(overflow >= 0))
-        return GradientEstimate(
-            value=np.full((oracle.n_u, oracle.n_x), np.nan),
-            failed=True, failed_rollout=bad, **meta,
-        )
-    costs = np.array(
-        [oracle.stage_cost(states[k], K + U[k]) for k in range(n_b)]
-    )
-    terms = (d / cfg.r**2) * (costs - baselines)[:, None, None] * U
-    return GradientEstimate(
-        value=terms.mean(axis=0),
-        per_rollout_terms=terms if keep_terms else None,
-        rollout_costs=costs if keep_terms else None,
-        **meta,
-    )
+    x0s = _draw_initial_states(oracle, cfg.n, run_id)
+    U = _draw_perturbations(oracle, cfg.r, cfg.n, run_id)
+    meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
+    baselines, bad = _baselines(oracle, K, x0s, n_v, cfg.l, run_id, 0)
+    if bad is None:
+        _, costs, bad = _rollout_costs(oracle, K + U, x0s, cfg.l, run_id,
+                                       range(cfg.n), Purpose.NOISE)
+    if bad is not None:
+        return _failed(oracle, bad, meta)[0]
+    return _gradient(U, costs, baselines, cfg, keep_terms, meta)
 
 
 @dataclass(frozen=True)

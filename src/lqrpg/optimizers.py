@@ -280,11 +280,12 @@ def _optimize(direction, K0, schedule: StepSchedule, stop: StopRule, step,
               flavor: str, config: dict, seed: int | None = None) -> ConvergenceTrace:
     """The one optimization loop.
 
-    Each iteration evaluates the current gain, stops on divergence (cost
-    past ``DIVERGENCE_CEILING_FACTOR`` times the first finite cost) or the
-    stop rule, and otherwise moves to ``step(K, point, eta)``. A failed
-    evaluation ends the run as ``direction.failure`` "diverged"; otherwise
-    it counts, like a step that returns None, toward
+    Each iteration evaluates the current gain, stops on divergence (an
+    infinite cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR``
+    times the first finite cost) or the stop rule, and otherwise moves to
+    ``step(K, point, eta)``. Before a finite cost a NaN cost is unobservable,
+    not divergence. A failed evaluation ends the run as ``direction.failure``
+    "diverged"; otherwise it counts, like a step that returns None, toward
     ``direction.max_failures`` consecutive failures. Exact directions
     evaluate once more after the last step to record the final gain.
     """
@@ -314,7 +315,9 @@ def _optimize(direction, K0, schedule: StepSchedule, stop: StopRule, step,
             rel = _rel_subopt(pt.cost, direction.c_star)
             if ceiling is None and math.isfinite(pt.cost):
                 ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)
-            if ceiling is not None and (not math.isfinite(pt.cost) or pt.cost > ceiling):
+            if math.isinf(pt.cost) or (
+                ceiling is not None and (math.isnan(pt.cost) or pt.cost > ceiling)
+            ):
                 record(pt.cost, rel, 0.0, grad_norm, status="diverged")
                 return finish(K, "diverged")
             reason = _stop_reason(stop, i, rel, grad_norm)

@@ -4,7 +4,8 @@ Every random draw comes from a counter-style substream keyed by
 (master_seed, run_id, rollout_id, purpose), so rollouts are bit-reproducible
 no matter how callers parallelize. The :class:`RolloutOracle` wraps a plant
 behind an interface that never exposes (A, B, Sigma_w), which is the
-model-free contract the estimators rely on.
+model-free contract the estimators rely on: it rolls out whole batches and
+prices them with :func:`empirical_cost`, the one stage-cost formula.
 """
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ __all__ = [
     "default_initial_state_bound",
     "RolloutOracle",
 ]
+
+
+_MAX_REJECTIONS = 1_000_000
 
 
 class Purpose(enum.IntEnum):
@@ -112,17 +116,24 @@ def sample_initial_state(
     Sigma_0: np.ndarray,
     L0: float,
     rng: np.random.Generator,
-    max_rejections: int = 1_000_000,
+    max_rejections: int = _MAX_REJECTIONS,
 ) -> tuple[np.ndarray, int]:
     """Draw x0 ~ N(0, Sigma_0) by rejection until ||x0|| <= L0.
 
     Returns (x0, rejection_count). Raises if acceptance looks hopeless.
     """
+    Sigma_0 = np.atleast_2d(np.asarray(Sigma_0, dtype=float))
+    return _bounded_draw(_psd_factor(Sigma_0), L0, rng, max_rejections)
+
+
+def _bounded_draw(
+    L: np.ndarray, L0: float, rng: np.random.Generator, max_rejections: int
+) -> tuple[np.ndarray, int]:
+    """Rejection loop of :func:`sample_initial_state` for a factor L of
+    Sigma_0."""
     if not L0 > 0:
         raise ConfigurationError(f"L0 must be positive, got {L0}")
-    Sigma_0 = np.atleast_2d(np.asarray(Sigma_0, dtype=float))
-    n_x = Sigma_0.shape[0]
-    L = _psd_factor(Sigma_0)
+    n_x = L.shape[1]
     rejections = 0
     while True:
         x0 = L @ rng.standard_normal(n_x)
@@ -153,15 +164,18 @@ def simulate(
     if l < 1:
         raise ConfigurationError(f"l must be >= 1, got {l}")
     K = plant.check_gain(K)
-    Lw = _psd_factor(plant.Sigma_w)
-    if l > 1:
-        noises = rng.standard_normal((l - 1, plant.n_x)) @ Lw.T
-    else:
-        noises = np.zeros((0, plant.n_x))
+    noises = rng.standard_normal((l - 1, plant.n_x)) @ _psd_factor(plant.Sigma_w).T
     x0 = np.asarray(x0, dtype=float).reshape(plant.n_x)
-    states, overflow = simulate_batch(
-        plant, K[None, :, :], x0[None, :], l, noises[None, :, :]
+    return _trajectory(
+        simulate_batch(plant, K[None, :, :], x0[None, :], l, noises[None, :, :]),
+        K, seed_label,
     )
+
+
+def _trajectory(batch: tuple[np.ndarray, np.ndarray], K: np.ndarray,
+                seed_label: tuple) -> Trajectory:
+    """The one rollout of a (states, overflow) batch, or OverflowedRollout."""
+    states, overflow = batch
     if overflow[0] >= 0:
         raise OverflowedRollout(
             f"state overflowed at step {overflow[0]}", step=int(overflow[0])
@@ -205,10 +219,15 @@ def simulate_batch(
     return states, overflow
 
 
-def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray) -> float:
-    """Time-averaged stage cost (1/l) sum_t x_t' (Q + K'RK) x_t."""
-    Q_K = Q + K.T @ R @ K
-    return float(np.einsum("ti,ij,tj->", states, Q_K, states) / states.shape[0])
+def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray):
+    """Time-averaged stage cost (1/l) sum_t x_t' (Q + K'RK) x_t.
+
+    ``states`` is one trajectory (l, n_x) or a batch (n, l, n_x); ``K`` is
+    one gain or one gain per trajectory (n, n_u, n_x). A batch gives costs
+    of shape (n,), each bit-identical to the cost of its trajectory alone.
+    """
+    Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
+    return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
 
 
 def empirical_covariance(states: np.ndarray) -> np.ndarray:
@@ -226,23 +245,18 @@ def default_initial_state_bound(Sigma_0: np.ndarray) -> float:
 class RolloutOracle:
     """Opaque handle to the closed-loop system.
 
-    Exposes only sampling and empirical evaluation; the plant matrices stay
-    private so estimator code cannot read (A, B, Sigma_w). An external
-    ``cost_evaluator(states, gain) -> float`` may replace the (Q, R) stage
-    cost when weights are unknown and costs come from measurements.
+    Exposes only sampling, batched rollouts and their (Q, R) stage costs;
+    the plant matrices stay private so estimator code cannot read
+    (A, B, Sigma_w). The factors of Sigma_0 and Sigma_w are computed once,
+    here, and every draw reuses them.
     """
 
-    def __init__(
-        self,
-        plant: PlantModel,
-        seeds: SeedSpec,
-        L0: float | None = None,
-        cost_evaluator=None,
-    ):
+    def __init__(self, plant: PlantModel, seeds: SeedSpec, L0: float | None = None):
         self._plant = plant
         self._seeds = seeds
         self._L0 = default_initial_state_bound(plant.Sigma_0) if L0 is None else L0
-        self._cost_evaluator = cost_evaluator
+        self._factor_0 = _psd_factor(plant.Sigma_0)
+        self._factor_w = _psd_factor(plant.Sigma_w)
         self.n_x = plant.n_x
         self.n_u = plant.n_u
 
@@ -260,7 +274,7 @@ class RolloutOracle:
 
     def draw_initial_state(self, run_id: int, rollout_id: int) -> np.ndarray:
         rng = self._seeds.generator(run_id, rollout_id, Purpose.INITIAL_STATE)
-        x0, _ = sample_initial_state(self._plant.Sigma_0, self._L0, rng)
+        x0, _ = _bounded_draw(self._factor_0, self._L0, rng, _MAX_REJECTIONS)
         return x0
 
     def rollout(
@@ -272,11 +286,11 @@ class RolloutOracle:
         rollout_id: int,
         purpose: Purpose = Purpose.NOISE,
     ) -> Trajectory:
-        rng = self._seeds.generator(run_id, rollout_id, purpose)
-        return simulate(
-            self._plant, K, x0, l, rng,
-            seed_label=(run_id, rollout_id, int(purpose)),
-        )
+        """One rollout: a batch of one, raising OverflowedRollout on overflow."""
+        K = self._plant.check_gain(K)
+        x0 = np.asarray(x0, dtype=float).reshape(self.n_x)
+        batch = self.rollout_batch(K[None], x0[None], l, run_id, [rollout_id], purpose)
+        return _trajectory(batch, K, (run_id, rollout_id, int(purpose)))
 
     def rollout_batch(
         self,
@@ -288,19 +302,15 @@ class RolloutOracle:
         purpose: Purpose = Purpose.NOISE,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched rollouts, one noise substream per rollout id."""
-        Lw = _psd_factor(self._plant.Sigma_w)
-        n = len(rollout_ids)
-        noises = np.empty((n, l - 1, self.n_x)) if l > 1 else np.zeros((n, 0, self.n_x))
+        if l < 1:
+            raise ConfigurationError(f"l must be >= 1, got {l}")
+        noises = np.empty((len(rollout_ids), l - 1, self.n_x))
         for j, rid in enumerate(rollout_ids):
             rng = self._seeds.generator(run_id, rid, purpose)
-            if l > 1:
-                noises[j] = rng.standard_normal((l - 1, self.n_x)) @ Lw.T
+            noises[j] = rng.standard_normal((l - 1, self.n_x)) @ self._factor_w.T
         return simulate_batch(self._plant, Ks, x0s, l, noises)
 
-    def stage_cost(self, states: np.ndarray, K: np.ndarray) -> float:
-        if self._cost_evaluator is not None:
-            return float(self._cost_evaluator(states, K))
-        return empirical_cost(states, self._plant.Q, self._plant.R, K)
-
-    def covariance(self, states: np.ndarray) -> np.ndarray:
-        return empirical_covariance(states)
+    def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
+        """Empirical (Q, R) costs (n,) of a batch of states (n, l, n_x) under
+        the gains that produced them: Ks (n, n_u, n_x) or one shared gain."""
+        return empirical_cost(states, self._plant.Q, self._plant.R, Ks)

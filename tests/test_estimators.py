@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,43 @@ class TestVarianceReduction:
         cfg = RolloutConfig(n=5, l=400, r=0.1, L0=3.0)
         g = estimate_gradient_vr(make_oracle(0), [[400.0]], cfg, n_v=3)
         assert g.failed
+
+    def test_outer_rollout_k_owns_baseline_ids_from_k_times_n_v(self):
+        oracle = make_oracle(6)
+        cfg = RolloutConfig(n=7, l=25, r=0.1, L0=3.0)
+        n_v, run_id = 4, 2
+        g = estimate_gradient_vr(oracle, K_HALF, cfg, n_v, run_id=run_id,
+                                 keep_terms=True)
+        for k in range(cfg.n):
+            x0 = oracle.draw_initial_state(run_id, k)
+            b = estimate_baseline(oracle, K_HALF, x0, n_v, cfg.l, run_id=run_id,
+                                  rollout_base=k * n_v).value
+            U = oracle.draw_perturbation(cfg.r, run_id, k)
+            term = (1 / cfg.r**2) * (g.rollout_costs[k:k + 1] - b)[:, None, None] * U
+            np.testing.assert_array_equal(g.per_rollout_terms[k], term[0])
+
+
+class TestOverflowingCosts:
+    """Finite states whose costs overflow to inf: no NumPy warning."""
+
+    K_HUGE = np.array([[1e100]])
+    CFG = RolloutConfig(n=4, l=3, r=0.1, L0=3.0)
+
+    def test_plain_estimator_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, c = estimate_gradient_covariance(make_oracle(0), self.K_HUGE,
+                                                self.CFG, keep_terms=True)
+        assert not g.failed
+        assert np.isinf(g.rollout_costs).all()
+
+    def test_vr_estimator_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = estimate_gradient_vr(make_oracle(0), self.K_HUGE, self.CFG,
+                                     n_v=3, keep_terms=True)
+        assert not g.failed
+        assert np.isinf(g.rollout_costs).all()
 
 
 class TestDiagnostics:

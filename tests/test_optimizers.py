@@ -274,6 +274,18 @@ class TestModelFreePgd:
         assert trace.terminal_reason == "max_iters"
         assert len(trace.records) == 2
 
+    def test_infinite_first_cost_diverges(self):
+        oracle = RolloutOracle(S1, SeedSpec(0))
+        K0 = np.array([[1e100]])
+        cfg = RolloutConfig(n=4, l=3, r=0.1, L0=3.0)
+        trace = run_mf_pgd(oracle, K0, StepSchedule(kind="fixed", eta=0.1),
+                           StopRule(max_iters=8), rollout_cfg=cfg)
+        assert trace.terminal_reason == "diverged"
+        assert len(trace.records) == 1
+        assert trace.records[0].status == "diverged"
+        assert trace.records[0].cost == np.inf
+        np.testing.assert_array_equal(trace.K_final, K0)
+
     def test_rejects_bad_cert_source(self):
         oracle = RolloutOracle(S1, SeedSpec(0))
         with pytest.raises(ConfigurationError):

@@ -12,11 +12,13 @@ from lqrpg import (
     SeedSpec,
     empirical_cost,
     empirical_covariance,
+    paper3x3,
     sample_initial_state,
     sample_sphere_perturbation,
     scalar_s1,
     simulate,
     simulate_batch,
+    solve_dare,
 )
 from lqrpg.plants import PlantModel
 from lqrpg.sim import default_initial_state_bound
@@ -97,19 +99,23 @@ class TestSimulate:
         np.testing.assert_allclose(traj.states[1:], 0.0)
         assert traj.states[0, 0] == 1.0
 
-    def test_scalar_matches_batch_bitwise(self):
-        p = scalar_s1()
+    @pytest.mark.parametrize("plant", [scalar_s1(), paper3x3(noise_scale=0.01)],
+                             ids=["scalar_s1", "paper3x3"])
+    def test_scalar_matches_batch_bitwise(self, plant):
         seeds = SeedSpec(9)
-        K = np.array([[-0.3]])
-        x0 = np.array([0.7])
+        K = solve_dare(plant).K_star + 0.1
+        x0 = np.linspace(0.7, -0.2, plant.n_x)
         rng = seeds.generator(0, 5, Purpose.NOISE)
-        traj = simulate(p, K, x0, 50, rng)
-        oracle = RolloutOracle(p, seeds)
+        traj = simulate(plant, K, x0, 50, rng)
+        oracle = RolloutOracle(plant, seeds)
         states, overflow = oracle.rollout_batch(
             K[None], x0[None], 50, 0, [5], Purpose.NOISE
         )
         assert overflow[0] == -1
         np.testing.assert_array_equal(traj.states, states[0])
+        single = oracle.rollout(K, x0, 50, 0, 5)
+        np.testing.assert_array_equal(single.states, states[0])
+        assert single.seed_label == (0, 5, int(Purpose.NOISE))
 
     def test_unstable_rollout_overflows(self):
         p = scalar_s1()
@@ -138,6 +144,29 @@ class TestEmpirical:
             1.25 * 2.5
         )
 
+    @pytest.mark.parametrize("plant", [scalar_s1(), paper3x3(noise_scale=0.01)],
+                             ids=["scalar_s1", "paper3x3"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["perturbed", "shared"])
+    def test_batch_cost_matches_per_trajectory_bitwise(self, plant, shared):
+        oracle = RolloutOracle(plant, SeedSpec(5))
+        n, l = 40, 30
+        K = solve_dare(plant).K_star
+        if shared:
+            Ks = np.broadcast_to(K, (n, *K.shape))
+        else:
+            Ks = K + np.array([oracle.draw_perturbation(0.3, 0, k) for k in range(n)])
+        x0s = np.array([oracle.draw_initial_state(0, k) for k in range(n)])
+        states, overflow = oracle.rollout_batch(Ks, x0s, l, 0, range(n))
+        assert np.all(overflow == -1)
+        each = np.array([empirical_cost(states[k], plant.Q, plant.R, Ks[k])
+                         for k in range(n)])
+        batch = empirical_cost(states, plant.Q, plant.R, Ks)
+        assert batch.shape == (n,)
+        np.testing.assert_array_equal(batch, each)
+        np.testing.assert_array_equal(oracle.stage_cost(states, Ks), each)
+        if shared:
+            np.testing.assert_array_equal(oracle.stage_cost(states, K), each)
+
     def test_covariance_by_hand(self):
         states = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(
@@ -151,10 +180,20 @@ class TestRolloutOracle:
         assert not hasattr(oracle, "A")
         assert not hasattr(oracle, "Sigma_w")
 
-    def test_custom_cost_evaluator(self):
-        oracle = RolloutOracle(scalar_s1(), SeedSpec(0),
-                               cost_evaluator=lambda states, K: 42.0)
-        assert oracle.stage_cost(np.zeros((3, 1)), np.zeros((1, 1))) == 42.0
+    def test_initial_state_matches_sample_initial_state(self):
+        p = paper3x3(sigma0_scale=2.0)
+        seeds = SeedSpec(4)
+        oracle = RolloutOracle(p, seeds, L0=2.5)
+        for k in range(20):
+            rng = seeds.generator(1, k, Purpose.INITIAL_STATE)
+            x0, _ = sample_initial_state(p.Sigma_0, 2.5, rng)
+            np.testing.assert_array_equal(oracle.draw_initial_state(1, k), x0)
+
+    def test_rollout_overflow_raises(self):
+        oracle = RolloutOracle(scalar_s1(), SeedSpec(0))
+        with pytest.raises(OverflowedRollout) as exc:
+            oracle.rollout([[500.0]], [1.0], 300, 0, 0)
+        assert exc.value.step > 0
 
     def test_perturbation_stream_isolated_from_noise(self):
         oracle = RolloutOracle(scalar_s1(), SeedSpec(0))
