@@ -52,10 +52,9 @@ class PlantNorms:
     norm_Sigma_w: float
     norm_Sigma_0: float
     lam_Sigma_0: float
-    norm_Sigma_star: float | None = None
 
     @classmethod
-    def from_plant(cls, plant: PlantModel, norm_Sigma_star: float | None = None):
+    def from_plant(cls, plant: PlantModel):
         return cls(
             n_x=plant.n_x,
             n_u=plant.n_u,
@@ -69,7 +68,6 @@ class PlantNorms:
             norm_Sigma_w=float(np.linalg.norm(plant.Sigma_w, 2)),
             norm_Sigma_0=float(np.linalg.norm(plant.Sigma_0, 2)),
             lam_Sigma_0=smallest_eigenvalue(plant.Sigma_0),
-            norm_Sigma_star=norm_Sigma_star,
         )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InstabilityError, NumericError
-from .plants import PlantModel, closed_loop, smallest_eigenvalue
+from .plants import PlantModel, closed_loop
 
 __all__ = [
     "solve_discrete_lyapunov",
@@ -27,6 +27,9 @@ __all__ = [
 # Above this state dimension the vectorized Kronecker solve becomes costly;
 # fall back to fixed-point iteration.
 _KRON_MAX_DIM = 32
+# Riccati value iteration stops at this relative Frobenius update.
+_DARE_TOL = 1e-12
+_DARE_MAX_ITER = 100_000
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:
@@ -36,9 +39,10 @@ def _symmetrize(X: np.ndarray) -> np.ndarray:
 def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Solve X = M X M' + W for Schur-stable M.
 
-    Uses the vectorized linear system (I - M (x) M) vec(X) = vec(W) at desk
-    scale, and fixed-point iteration beyond ``_KRON_MAX_DIM``. The result is
-    symmetrized and checked to residual 1e-10 * max(1, ||W||_F).
+    Checks shapes, finiteness and the spectral radius of M, then solves in
+    the core shared with ``exact_quantities``: (I - M (x) M) vec(X) = vec(W)
+    at desk scale, fixed-point iteration beyond ``_KRON_MAX_DIM``. The result
+    is symmetrized and checked to residual 1e-10 * max(1, ||W||_F).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -53,7 +57,15 @@ def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
             f"spectral radius {rho:.6g} >= 1: Lyapunov series diverges",
             spectral_radius=rho,
         )
+    return _lyapunov(M, W)
 
+
+def _lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Solver core for square M and W of one shape, M known to be Schur
+    stable. W = Q + K'RK can overflow for a finite K when n_u > n_x."""
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(W))):
+        raise NumericError("non-finite entries in Lyapunov data")
+    n = M.shape[0]
     if n <= _KRON_MAX_DIM:
         lhs = np.eye(n * n) - np.kron(M, M)
         x = np.linalg.solve(lhs, W.reshape(n * n, order="F"))
@@ -87,13 +99,9 @@ class ClosedLoopQuantities:
     grad: np.ndarray
 
 
-def exact_quantities(plant: PlantModel, K: np.ndarray) -> ClosedLoopQuantities:
-    """Compute the closed-loop value matrix, average covariance, cost, and
-    gradient for a stabilizing gain.
-
-    P solves P = Q_K + A_K' P A_K, Sigma solves Sigma = Sigma_w + A_K Sigma A_K',
-    E = (R + B'PB)K + B'PA, cost = Tr(P Sigma_w), grad = 2 E Sigma.
-    """
+def _stable_closed_loop(plant: PlantModel, K) -> tuple[np.ndarray, ...]:
+    """(K, A + BK, Q + K'RK) for a valid gain whose spectral radius, taken
+    once by ``closed_loop``, is below 1; ``InstabilityError`` otherwise."""
     K = plant.check_gain(K)
     A_K, rep = closed_loop(plant, K)
     if not rep.is_stabilizing:
@@ -101,9 +109,19 @@ def exact_quantities(plant: PlantModel, K: np.ndarray) -> ClosedLoopQuantities:
             f"gain is not stabilizing (spectral radius {rep.spectral_radius:.6g})",
             spectral_radius=rep.spectral_radius,
         )
-    Q_K = plant.Q + K.T @ plant.R @ K
-    P = solve_discrete_lyapunov(A_K.T, Q_K)
-    Sigma = solve_discrete_lyapunov(A_K, plant.Sigma_w)
+    return K, A_K, plant.Q + K.T @ plant.R @ K
+
+
+def exact_quantities(plant: PlantModel, K: np.ndarray) -> ClosedLoopQuantities:
+    """Compute the closed-loop value matrix, average covariance, cost, and
+    gradient for a stabilizing gain.
+
+    P solves P = Q_K + A_K' P A_K, Sigma solves Sigma = Sigma_w + A_K Sigma A_K',
+    E = (R + B'PB)K + B'PA, cost = Tr(P Sigma_w), grad = 2 E Sigma.
+    """
+    K, A_K, Q_K = _stable_closed_loop(plant, K)
+    P = _lyapunov(A_K.T, Q_K)
+    Sigma = _lyapunov(A_K, plant.Sigma_w)
     E = (plant.R + plant.B.T @ P @ plant.B) @ K + plant.B.T @ P @ plant.A
     cost = float(np.trace(P @ plant.Sigma_w))
     grad = 2.0 * E @ Sigma
@@ -120,36 +138,44 @@ class OptimalSolution:
     C_star: float
 
 
-def solve_dare(
-    plant: PlantModel, tol: float = 1e-12, max_iter: int = 100_000
-) -> OptimalSolution:
-    """Riccati fixed point by value iteration from P = Q.
+def solve_dare(plant: PlantModel) -> OptimalSolution:
+    """Riccati fixed point by value iteration from P = Q, solved once per plant.
 
     Iterates P <- Q + A'PA - A'PB (R + B'PB)^{-1} B'PA until the relative
-    Frobenius update falls below ``tol``. Value iteration needs no initial
-    stabilizing gain, which matters for unstable open-loop plants.
+    Frobenius update falls below ``_DARE_TOL``. Value iteration needs no
+    initial stabilizing gain, which matters for unstable open-loop plants.
+    A frozen plant with read-only arrays determines its solution, so the
+    first call stores it, read-only, on the plant and later calls return it.
     """
+    opt = getattr(plant, "_optimum", None)
+    if opt is not None:
+        return opt
     A, B, Q, R = plant.A, plant.B, plant.Q, plant.R
     P = Q.copy()
-    for _ in range(max_iter):
+    for _ in range(_DARE_MAX_ITER):
         BtP = B.T @ P
         G = R + BtP @ B
         P_next = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(G, BtP @ A)
         P_next = _symmetrize(P_next)
         resid = np.linalg.norm(P_next - P, "fro")
         P = P_next
-        if resid <= tol * max(np.linalg.norm(P, "fro"), np.finfo(float).tiny):
+        if resid <= _DARE_TOL * max(np.linalg.norm(P, "fro"), np.finfo(float).tiny):
             break
     else:
         raise ConvergenceError(
-            f"Riccati iteration did not converge in {max_iter} iterations",
+            f"Riccati iteration did not converge in {_DARE_MAX_ITER} iterations",
             residual=resid,
         )
     G = R + B.T @ P @ B
     K_star = -np.linalg.solve(G, B.T @ P @ A)
     Sigma_star = solve_discrete_lyapunov(A + B @ K_star, plant.Sigma_w)
     C_star = float(np.trace(P @ plant.Sigma_w))
-    return OptimalSolution(K_star=K_star, P_star=P, Sigma_star=Sigma_star, C_star=C_star)
+    for m in (K_star, P, Sigma_star):
+        m.setflags(write=False)
+    opt = OptimalSolution(K_star=K_star, P_star=P, Sigma_star=Sigma_star, C_star=C_star)
+    # Two threads may race here; the loser only repeats the same solve.
+    object.__setattr__(plant, "_optimum", opt)
+    return opt
 
 
 def gradient_domination_mu(plant: PlantModel) -> float:
@@ -173,14 +199,7 @@ def finite_horizon_quantities(
     Sigma_{t+1} = A_K Sigma_t A_K' + Sigma_w from Sigma_0. No sampling."""
     if l < 1:
         raise NumericError(f"horizon must be >= 1, got {l}")
-    K = plant.check_gain(K)
-    A_K, rep = closed_loop(plant, K)
-    if not rep.is_stabilizing:
-        raise InstabilityError(
-            f"gain is not stabilizing (spectral radius {rep.spectral_radius:.6g})",
-            spectral_radius=rep.spectral_radius,
-        )
-    Q_K = plant.Q + K.T @ plant.R @ K
+    K, A_K, Q_K = _stable_closed_loop(plant, K)
     Sigma_t = plant.Sigma_0.copy()
     acc = Sigma_t.copy()
     for _ in range(l - 1):

@@ -152,6 +152,10 @@ def _parse_matrix(data, loc, v):
     except (TypeError, ValueError):
         v.add(loc, "not a numeric matrix")
         return None
+    # JSON as Python reads it admits NaN and Infinity.
+    if not np.all(np.isfinite(m)):
+        v.add(loc, "entries must be finite")
+        return None
     return m
 
 
@@ -296,28 +300,28 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     K0 = None
     gain_data = data.get("gain", {"preset": "detuned_lqr"})
-    if plant is not None:
-        try:
-            if isinstance(gain_data, dict) and "preset" in gain_data:
-                preset = gain_data["preset"]
-                if preset == "detuned_lqr":
-                    K0 = detuned_initial_gain(
-                        plant, q_scale=float(gain_data.get("q_scale", 50.0))
-                    )
-                elif preset == "zero":
-                    K0 = np.zeros((plant.n_u, plant.n_x))
-                elif preset == "optimal":
-                    K0 = solve_dare(plant).K_star
-                else:
-                    v.add("gain.preset", f"unknown preset {preset!r}")
-            elif isinstance(gain_data, dict) and "K0" in gain_data:
-                K0 = _parse_matrix(gain_data["K0"], "gain.K0", v)
-                if K0 is not None:
-                    K0 = plant.check_gain(K0)
+    try:
+        if not (isinstance(gain_data, dict) and ("preset" in gain_data or "K0" in gain_data)):
+            v.add("gain", "must give 'preset' or 'K0'")
+        elif "preset" not in gain_data:
+            # Parsed without a valid plant too, so its violations are reported.
+            K0 = _parse_matrix(gain_data["K0"], "gain.K0", v)
+            if K0 is not None and plant is not None:
+                K0 = plant.check_gain(K0)
+        elif plant is not None:
+            preset = gain_data["preset"]
+            if preset == "detuned_lqr":
+                K0 = detuned_initial_gain(
+                    plant, q_scale=float(gain_data.get("q_scale", 50.0))
+                )
+            elif preset == "zero":
+                K0 = np.zeros((plant.n_u, plant.n_x))
+            elif preset == "optimal":
+                K0 = solve_dare(plant).K_star
             else:
-                v.add("gain", "must give 'preset' or 'K0'")
-        except ConfigurationError as exc:
-            v.add("gain", str(exc))
+                v.add("gain.preset", f"unknown preset {preset!r}")
+    except ConfigurationError as exc:
+        v.add("gain", str(exc))
 
     mc = data.get("monte_carlo", {})
     repetitions, master_seed = 1, 0
@@ -403,15 +407,12 @@ def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
             cfg.plant, cfg.K0, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
             seeds, run_id=rep,
         )
-    opt = solve_dare(cfg.plant)
-    c_star = opt.C_star
+    c_star = solve_dare(cfg.plant).C_star
     oracle = RolloutOracle(
         cfg.plant, seeds,
         L0=cfg.rollout.L0 if cfg.rollout is not None else None,
     )
-    norms = PlantNorms.from_plant(
-        cfg.plant, norm_Sigma_star=float(np.linalg.norm(opt.Sigma_star, 2))
-    )
+    norms = PlantNorms.from_plant(cfg.plant)
     run_offset = rep * (cfg.stop.max_iters + 1)
     if cfg.optimizer == "mf_pgd":
         return run_mf_pgd(

@@ -196,13 +196,10 @@ class _Exact:
 
     def __init__(self, plant: PlantModel, schedule: StepSchedule):
         self.plant = plant
-        opt = solve_dare(plant)
-        self.c_star = self.step_c_star = opt.C_star
+        self.c_star = self.step_c_star = solve_dare(plant).C_star
         self.norms = None
         if schedule.kind != "fixed":
-            self.norms = PlantNorms.from_plant(
-                plant, norm_Sigma_star=float(np.linalg.norm(opt.Sigma_star, 2))
-            )
+            self.norms = PlantNorms.from_plant(plant)
 
     def start(self, K0) -> np.ndarray:
         return self.plant.check_gain(K0)
@@ -311,7 +308,9 @@ def _optimize(direction, K0, schedule: StepSchedule, stop: StopRule, step,
             if direction.failure == "diverged":
                 return finish(K, "diverged")
         else:
-            grad_norm = float(np.linalg.norm(pt.grad, "fro"))
+            # A huge but finite estimated gradient has an infinite norm.
+            with np.errstate(over="ignore"):
+                grad_norm = float(np.linalg.norm(pt.grad, "fro"))
             rel = _rel_subopt(pt.cost, direction.c_star)
             if ceiling is None and math.isfinite(pt.cost):
                 ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)

@@ -85,6 +85,16 @@ class TestExactQuantities:
         with pytest.raises(InstabilityError):
             exact_quantities(scalar_s1(), [[1.0]])
 
+    def test_lyapunov_solves_match_public_solver_bitwise(self, rng):
+        for _ in range(20):
+            p = random_plant(rng)
+            K = random_stabilizing_gain(p, rng)
+            q = exact_quantities(p, K)
+            A_K = p.A + p.B @ K
+            Q_K = p.Q + K.T @ p.R @ K
+            np.testing.assert_array_equal(q.P, solve_discrete_lyapunov(A_K.T, Q_K))
+            np.testing.assert_array_equal(q.Sigma, solve_discrete_lyapunov(A_K, p.Sigma_w))
+
 
 class TestOptimalSolution:
     def test_scalar_goldens(self):
@@ -108,6 +118,22 @@ class TestOptimalSolution:
         for _ in range(10):
             K = random_stabilizing_gain(p, rng, spread=0.1)
             assert exact_quantities(p, K).cost >= opt.C_star - 1e-9
+
+    def test_solved_once_per_plant(self):
+        p = paper3x3()
+        opt = solve_dare(p)
+        assert solve_dare(p) is opt
+        for m in (opt.K_star, opt.P_star, opt.Sigma_star):
+            assert not m.flags.writeable
+        assert solve_dare(paper3x3()) is not opt
+
+    def test_riccati_residual(self, rng):
+        for p in [paper3x3(), scalar_s1()] + [random_plant(rng) for _ in range(20)]:
+            P = solve_dare(p).P_star
+            BtPA = p.B.T @ P @ p.A
+            resid = (p.Q + p.A.T @ P @ p.A - P
+                     - BtPA.T @ np.linalg.solve(p.R + p.B.T @ P @ p.B, BtPA))
+            assert np.linalg.norm(resid, "fro") <= 1e-9 * max(1.0, np.linalg.norm(P, "fro"))
 
     def test_unstable_open_loop_paper_plant(self):
         opt = solve_dare(paper3x3())
@@ -143,6 +169,14 @@ class TestFiniteHorizon:
                 assert err <= prev + 1e-15
             prev = err
         assert prev < 1e-6
+
+    def test_unstable_gain_raises_like_exact_quantities(self):
+        with pytest.raises(InstabilityError) as inf_h:
+            exact_quantities(scalar_s1(), [[1.0]])
+        with pytest.raises(InstabilityError) as fin_h:
+            finite_horizon_quantities(scalar_s1(), [[1.0]], 10)
+        assert str(fin_h.value) == str(inf_h.value)
+        assert fin_h.value.spectral_radius == inf_h.value.spectral_radius == 1.5
 
     def test_single_step_is_initial_covariance(self):
         p = scalar_s1()

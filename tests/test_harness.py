@@ -57,6 +57,9 @@ class TestConfigValidation:
         data["rollout_typo"] = {}
         data["variants"] = []
         data["schedule"] = {"kind": "nope"}
+        data["plant"] = {"A": [[float("inf")]], "B": [[1.0]], "Q": [[1.0]],
+                         "R": [[1.0]], "Sigma_w": [[1.0]], "Sigma_0": [[1.0]]}
+        data["gain"] = {"K0": [[float("nan")]]}
         with pytest.raises(ConfigurationError) as exc:
             config_from_dict(data)
         msg = str(exc.value)
@@ -65,6 +68,8 @@ class TestConfigValidation:
         assert "variants: unknown key" in msg
         assert "rollout" in msg
         assert "schedule" in msg
+        assert "plant.A: entries must be finite" in msg
+        assert "gain.K0: entries must be finite" in msg
 
     def test_rejects_both_rollout_and_from_bounds(self):
         data = base_config(**{"optimizer.name": "mf_pgd"})
@@ -274,6 +279,13 @@ class TestCli:
         path = self.write(tmp_path, {"optimizer": {"name": "nope"}})
         assert main(["validate", path]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_exact_rejects_nan_gain(self, tmp_path, capsys):
+        data = base_config()
+        data["gain"] = {"K0": [[float("nan")]]}
+        path = self.write(tmp_path, data)
+        assert main(["exact", "--config", path]) == EXIT_CONFIG
+        assert "gain.K0: entries must be finite" in capsys.readouterr().err
 
     def test_exact_prints_quantities(self, tmp_path, capsys):
         path = self.write(tmp_path, base_config())

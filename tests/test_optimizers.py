@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,19 @@ class TestModelFreePgd:
                            StopRule(max_iters=2), rollout_cfg=cfg)
         assert trace.terminal_reason == "max_iters"
         assert len(trace.records) == 2
+
+    def test_huge_gradient_norm_is_quiet(self):
+        def huge(K, i):
+            return GradientEstimate(value=np.array([[1e200]]),
+                                    rollout_costs=np.array([1.0]), **META), None
+
+        oracle = RolloutOracle(S1, SeedSpec(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_mf_pgd(oracle, K_ZERO, StepSchedule(kind="fixed", eta=0.1),
+                               StopRule(max_iters=3), estimator=huge)
+        assert trace.terminal_reason == "max_iters"
+        assert [r.grad_norm for r in trace.records] == [np.inf] * 3
 
     def test_infinite_first_cost_diverges(self):
         oracle = RolloutOracle(S1, SeedSpec(0))
