@@ -59,16 +59,6 @@ class BaselineEstimate:
     failed: bool = False
 
 
-def _draw_perturbations(
-    oracle: RolloutOracle, r: float, n: int, run_id: int
-) -> np.ndarray:
-    return np.array([oracle.draw_perturbation(r, run_id, k) for k in range(n)])
-
-
-def _draw_initial_states(oracle: RolloutOracle, n: int, run_id: int) -> np.ndarray:
-    return np.array([oracle.draw_initial_state(run_id, k) for k in range(n)])
-
-
 def _rollout_costs(oracle, Ks, x0s, l, run_id, ids, purpose):
     """Roll out and price one batch: (states, costs (n,), None), or
     (states, None, index of the first overflowed rollout)."""
@@ -126,16 +116,17 @@ def estimate_gradient_covariance(
     run_id: int = 0,
     keep_terms: bool = False,
 ) -> tuple[GradientEstimate, CovarianceEstimate]:
-    """Two-sided sphere estimator of grad C(K) and Sigma_K.
+    """One-point sphere estimator of grad C(K) and Sigma_K.
 
     For each of n rollouts: perturb K by U_k with ||U_k||_F = r, roll out l
-    steps from a bounded initial state, and average
-    (n_x n_u / r^2) * C_hat_k * U_k for the gradient and the empirical state
-    covariance for Sigma. The dimension multiplier is n_x * n_u.
+    steps from a bounded initial state, and average the one-point terms
+    (d / r^2) * C_hat_k * U_k, d = n_x n_u, for the gradient and the
+    empirical state covariance for Sigma. Only K + U_k is rolled out; there
+    is no K - U_k rollout.
     """
     K = np.asarray(K, dtype=float)
-    U = _draw_perturbations(oracle, cfg.r, cfg.n, run_id)
-    x0s = _draw_initial_states(oracle, cfg.n, run_id)
+    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
+    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
     states, costs, bad = _rollout_costs(oracle, K + U, x0s, cfg.l, run_id,
                                         range(cfg.n), Purpose.NOISE)
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
@@ -188,8 +179,8 @@ def estimate_gradient_vr(
     same initial state.
     """
     K = np.asarray(K, dtype=float)
-    x0s = _draw_initial_states(oracle, cfg.n, run_id)
-    U = _draw_perturbations(oracle, cfg.r, cfg.n, run_id)
+    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
+    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
     baselines, bad = _baselines(oracle, K, x0s, n_v, cfg.l, run_id, 0)
     if bad is None:

@@ -159,6 +159,17 @@ def _parse_matrix(data, loc, v):
     return m
 
 
+def _parse_positive(value, loc, v) -> float | None:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        v.add(loc, f"must be a finite positive number, got {value!r}")
+        return None
+    return x
+
+
 def _parse_plant(data, v) -> PlantModel | None:
     if not isinstance(data, dict):
         v.add("plant", "must be an object")
@@ -300,6 +311,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     K0 = None
     gain_data = data.get("gain", {"preset": "detuned_lqr"})
+    q_scale = 50.0
+    if isinstance(gain_data, dict) and "q_scale" in gain_data:
+        q_scale = _parse_positive(gain_data["q_scale"], "gain.q_scale", v)
     try:
         if not (isinstance(gain_data, dict) and ("preset" in gain_data or "K0" in gain_data)):
             v.add("gain", "must give 'preset' or 'K0'")
@@ -311,9 +325,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         elif plant is not None:
             preset = gain_data["preset"]
             if preset == "detuned_lqr":
-                K0 = detuned_initial_gain(
-                    plant, q_scale=float(gain_data.get("q_scale", 50.0))
-                )
+                if q_scale is not None:
+                    K0 = detuned_initial_gain(plant, q_scale=q_scale)
             elif preset == "zero":
                 K0 = np.zeros((plant.n_u, plant.n_x))
             elif preset == "optimal":
@@ -336,6 +349,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             master_seed = int(mc.get("master_seed", 0))
             if repetitions < 1:
                 v.add("monte_carlo.repetitions", "must be >= 1")
+            if master_seed < 0:
+                v.add("monte_carlo.master_seed", "must be >= 0")
         except (TypeError, ValueError) as exc:
             v.add("monte_carlo", str(exc))
 
@@ -597,7 +612,9 @@ def _json_safe(obj):
     return obj
 
 
-def _variant(base: dict, label: str, **overrides) -> ExperimentConfig:
+def _variant(base: dict, label: str, plants: dict, **overrides) -> ExperimentConfig:
+    """``base`` with ``overrides`` applied; variants whose plant sections are
+    equal share the instance in ``plants``, and so its one Riccati solve."""
     data = json.loads(json.dumps(base))
     data["label"] = label
     for key, val in overrides.items():
@@ -606,7 +623,9 @@ def _variant(base: dict, label: str, **overrides) -> ExperimentConfig:
         for p in parts[:-1]:
             node = node.setdefault(p, {})
         node[parts[-1]] = val
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    plant = plants.setdefault(json.dumps(data["plant"], sort_keys=True), cfg.plant)
+    return replace(cfg, plant=plant)
 
 
 def figure_preset(
@@ -621,6 +640,7 @@ def figure_preset(
         "output": {"dir": "out", "format": "csv"},
     }
     variants: list[ExperimentConfig] = []
+    plants: dict = {}
 
     if name == "fig1":
         reps = repetitions or 500
@@ -632,7 +652,7 @@ def figure_preset(
         for sigma in (0.0, 0.03, 0.6):
             for eta in (0.12, 0.01):
                 variants.append(_variant(
-                    base, f"sigma{sigma}_eta{eta}",
+                    base, f"sigma{sigma}_eta{eta}", plants,
                     **{"optimizer.noise_sigma": sigma, "optimizer.eta": eta,
                        "schedule.eta": eta},
                 ))
@@ -642,7 +662,7 @@ def figure_preset(
         base["schedule"] = {"kind": "fixed", "eta": 40}
         for scale, eta in ((1e-4, 40.0), (1e-2, 6.0), (1e-2, 0.3)):
             variants.append(_variant(
-                base, f"noise{scale}_eta{eta}",
+                base, f"noise{scale}_eta{eta}", plants,
                 **{"plant.noise_cov_scale": scale,
                    "plant.sigma0_scale": scale, "schedule.eta": eta},
             ))
@@ -658,7 +678,7 @@ def figure_preset(
             for vr in (False, True):
                 tag = "vr" if vr else "plain"
                 variants.append(_variant(
-                    base, f"noise{scale}_{tag}",
+                    base, f"noise{scale}_{tag}", plants,
                     **{"plant.noise_cov_scale": scale,
                        "plant.sigma0_scale": scale,
                        "optimizer.use_vr": vr},
@@ -674,7 +694,7 @@ def figure_preset(
                     sched = {"kind": "fixed",
                              "eta": _fig4_fixed_eta(scale)}
                 variants.append(_variant(
-                    base, f"noise{scale}_{mode}",
+                    base, f"noise{scale}_{mode}", plants,
                     **{"plant.noise_cov_scale": scale,
                        "plant.sigma0_scale": scale, "schedule": sched},
                 ))

@@ -415,12 +415,15 @@ def run_noisy_gradient_pgd(
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
+    # Iteration i's noise is its (run_id, i) substream, drawn in one batch.
+    deltas = np.zeros(stop.max_iters)
+    if noise_sigma > 0:
+        deltas = noise_sigma * seeds.draw(
+            run_id, range(stop.max_iters), Purpose.PERTURBATION,
+            lambda g: g.standard_normal((plant.n_u, plant.n_x)))
+
     def step(K, pt, eta_i):
-        delta = 0.0
-        if noise_sigma > 0:
-            rng = seeds.generator(run_id, pt.i, Purpose.PERTURBATION)
-            delta = noise_sigma * rng.standard_normal((plant.n_u, plant.n_x))
-        return K - eta_i * (pt.grad + delta)
+        return K - eta_i * (pt.grad + deltas[pt.i])
 
     schedule = StepSchedule(kind="fixed", eta=eta)
     return _optimize(

@@ -1,15 +1,21 @@
 """Seeded stochastic simulation of the closed-loop plant.
 
-Every random draw comes from a counter-style substream keyed by
+Every random draw comes from a substream keyed by
 (master_seed, run_id, rollout_id, purpose), so rollouts are bit-reproducible
-no matter how callers parallelize. The :class:`RolloutOracle` wraps a plant
-behind an interface that never exposes (A, B, Sigma_w), which is the
-model-free contract the estimators rely on: it rolls out whole batches and
-prices them with :func:`empirical_cost`, the one stage-cost formula.
+no matter how callers parallelize. The substream of a key is the PCG64 stream
+that ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
+purpose))`` seeds, bit for bit; :meth:`SeedSpec.draw` derives those states
+for a whole batch of rollout ids at once. The :class:`RolloutOracle` wraps a
+plant behind an interface that never exposes (A, B, Sigma_w), which is the
+model-free contract the estimators rely on: it draws and rolls out whole
+batches and prices them with :func:`empirical_cost`, the one stage-cost
+formula.
 """
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,20 +49,158 @@ class Purpose(enum.IntEnum):
     BASELINE = 3
 
 
+# SeedSequence's hash constants and pool size (NumPy's bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = (1 << 32) - 1
+_M128 = (1 << 128) - 1
+# Rollout ids hashed per array pass; bounds the memory a batch's states take.
+_SEED_CHUNK = 256
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits its entropy and spawn key (0 is one word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ConfigurationError(f"seed keys must be >= 0, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+# The hash works on 1-d uint32 arrays, which wrap silently; NumPy scalars
+# would warn on the same, intended, overflow.
+def _hashmix(value: np.ndarray, hash_const: int, mult: int):
+    """SeedSequence's hashmix of ``value``; returns it and the next constant."""
+    hash_const_next = hash_const * mult & _M32
+    value = (value ^ hash_const) * hash_const_next
+    return value ^ (value >> 16), hash_const_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+def _absorb(pool: list, word: np.ndarray, hash_const: int):
+    """Mix one entropy word into every pool word, as SeedSequence mixes each
+    word past the pool size."""
+    mixed = []
+    for p in pool:
+        h, hash_const = _hashmix(word, hash_const, _MULT_A)
+        mixed.append(_mix(p, h))
+    return mixed, hash_const
+
+
+def _word(w: int) -> np.ndarray:
+    return np.array([w], dtype=np.uint32)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
-    """Root of the deterministic stream hierarchy."""
+    """Root of the deterministic stream hierarchy.
+
+    The substream of key (run_id, rollout_id, purpose) is the PCG64 stream
+    of ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
+    purpose))``, bit for bit. The SeedSequence hash is computed here: the
+    master seed's share of the pool once per instance, the key words of a
+    batch of ids as uint32 array operations, and the PCG64 seeding step in
+    Python ints; no SeedSequence or generator is built per id.
+    """
 
     master_seed: int
+    _share: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if operator.index(self.master_seed) < 0:
+            raise ConfigurationError(
+                f"master_seed must be >= 0, got {self.master_seed}")
+        # With a spawn key, SeedSequence pads the entropy to the pool size.
+        entropy = _uint32_words(self.master_seed)
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        hash_const = _INIT_A
+        pool = []
+        for w in entropy[:_POOL_SIZE]:
+            h, hash_const = _hashmix(_word(w), hash_const, _MULT_A)
+            pool.append(h)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    h, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], h)
+        for w in entropy[_POOL_SIZE:]:
+            pool, hash_const = _absorb(pool, _word(w), hash_const)
+        object.__setattr__(self, "_share", (pool, hash_const))
+
+    def _states(self, run_id: int, rollout_ids, purpose: Purpose):
+        """PCG64 state of each id's substream, in order, derived
+        ``_SEED_CHUNK`` ids at a time."""
+        key_pool, key_const = self._share
+        for w in _uint32_words(run_id):
+            key_pool, key_const = _absorb(key_pool, _word(w), key_const)
+        tail = [_word(w) for w in _uint32_words(int(purpose))]
+        ids = iter(rollout_ids)
+        while chunk := [operator.index(k) for k in itertools.islice(ids, _SEED_CHUNK)]:
+            if min(chunk) < 0:
+                raise ConfigurationError(f"seed keys must be >= 0, got {min(chunk)}")
+            # An id of w words shifts the purpose word's hash position by w.
+            widths = [(k.bit_length() + 31) // 32 or 1 for k in chunk]
+            seeds = [None] * len(chunk)
+            for width in set(widths):
+                rows = [j for j, w in enumerate(widths) if w == width]
+                pool, hash_const = key_pool, key_const
+                for i in range(width):
+                    col = np.array([chunk[j] >> (32 * i) & _M32 for j in rows],
+                                   dtype=np.uint32)
+                    pool, hash_const = _absorb(pool, col, hash_const)
+                for w in tail:
+                    pool, hash_const = _absorb(pool, w, hash_const)
+                # generate_state(4, uint64): 8 words cycled from the pool.
+                hash_const, words = _INIT_B, []
+                for i in range(2 * _POOL_SIZE):
+                    h, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
+                    words.append(h)
+                seed64 = np.stack(words, axis=1).astype("<u4").view("<u8")
+                for j, (s0, s1, i0, i1) in zip(rows, seed64.tolist()):
+                    seeds[j] = (s0 << 64 | s1, i0 << 64 | i1)
+            for initstate, initseq in seeds:
+                # pcg64_set_seed: two LCG steps from state 0.
+                inc = (initseq << 1 | 1) & _M128
+                yield {"bit_generator": "PCG64",
+                       "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _M128,
+                                 "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+
+    def draw(self, run_id: int, rollout_ids, purpose: Purpose, fn) -> np.ndarray:
+        """``np.array([fn(g) for each rollout id])``, where g generates the
+        id's substream of (run_id, purpose).
+
+        One generator is set to each id's state in turn, so ``fn`` must not
+        keep it; every ``fn(g)`` must have the same shape.
+        """
+        g = np.random.Generator(np.random.PCG64(0))
+        out = None
+        for j, state in enumerate(self._states(run_id, rollout_ids, purpose)):
+            g.bit_generator.state = state
+            x = fn(g)
+            if out is None:
+                out = np.empty((len(rollout_ids), *np.shape(x)), np.result_type(x))
+            out[j] = x
+        return np.array([]) if out is None else out
 
     def generator(
         self, run_id: int, rollout_id: int, purpose: Purpose
     ) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.master_seed,
-            spawn_key=(int(run_id), int(rollout_id), int(purpose)),
-        )
-        return np.random.default_rng(ss)
+        """A new generator on the substream of one key."""
+        g = np.random.Generator(np.random.PCG64(0))
+        g.bit_generator.state = next(self._states(run_id, [rollout_id], purpose))
+        return g
 
 
 @dataclass(frozen=True)
@@ -268,14 +412,25 @@ class RolloutOracle:
     def seeds(self) -> SeedSpec:
         return self._seeds
 
+    def draw_perturbations(self, r: float, run_id: int, rollout_ids) -> np.ndarray:
+        """Sphere perturbations (len(rollout_ids), n_u, n_x), one per id."""
+        U = self._seeds.draw(
+            run_id, rollout_ids, Purpose.PERTURBATION,
+            lambda g: sample_sphere_perturbation(self.n_u, self.n_x, r, g))
+        return U.reshape(len(rollout_ids), self.n_u, self.n_x)
+
+    def draw_initial_states(self, run_id: int, rollout_ids) -> np.ndarray:
+        """Bounded initial states (len(rollout_ids), n_x), one per id."""
+        x0s = self._seeds.draw(
+            run_id, rollout_ids, Purpose.INITIAL_STATE,
+            lambda g: _bounded_draw(self._factor_0, self._L0, g, _MAX_REJECTIONS)[0])
+        return x0s.reshape(len(rollout_ids), self.n_x)
+
     def draw_perturbation(self, r: float, run_id: int, rollout_id: int) -> np.ndarray:
-        rng = self._seeds.generator(run_id, rollout_id, Purpose.PERTURBATION)
-        return sample_sphere_perturbation(self.n_u, self.n_x, r, rng)
+        return self.draw_perturbations(r, run_id, [rollout_id])[0]
 
     def draw_initial_state(self, run_id: int, rollout_id: int) -> np.ndarray:
-        rng = self._seeds.generator(run_id, rollout_id, Purpose.INITIAL_STATE)
-        x0, _ = _bounded_draw(self._factor_0, self._L0, rng, _MAX_REJECTIONS)
-        return x0
+        return self.draw_initial_states(run_id, [rollout_id])[0]
 
     def rollout(
         self,
@@ -304,11 +459,11 @@ class RolloutOracle:
         """Batched rollouts, one noise substream per rollout id."""
         if l < 1:
             raise ConfigurationError(f"l must be >= 1, got {l}")
-        noises = np.empty((len(rollout_ids), l - 1, self.n_x))
-        for j, rid in enumerate(rollout_ids):
-            rng = self._seeds.generator(run_id, rid, purpose)
-            noises[j] = rng.standard_normal((l - 1, self.n_x)) @ self._factor_w.T
-        return simulate_batch(self._plant, Ks, x0s, l, noises)
+        noises = self._seeds.draw(
+            run_id, rollout_ids, purpose,
+            lambda g: g.standard_normal((l - 1, self.n_x)) @ self._factor_w.T)
+        return simulate_batch(self._plant, Ks, x0s, l,
+                              noises.reshape(len(rollout_ids), l - 1, self.n_x))
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a batch of states (n, l, n_x) under

@@ -287,6 +287,21 @@ class TestCli:
         assert main(["exact", "--config", path]) == EXIT_CONFIG
         assert "gain.K0: entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("exact", {"gain": {"preset": "detuned_lqr", "q_scale": "abc"}},
+         "gain.q_scale: must be a finite positive number"),
+        ("exact", {"gain": {"preset": "detuned_lqr", "q_scale": float("inf")}},
+         "gain.q_scale: must be a finite positive number"),
+        ("mb-run", {"optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.1,
+                    "monte_carlo.master_seed": -1},
+         "monte_carlo.master_seed: must be >= 0"),
+    ], ids=["q_scale_text", "q_scale_infinite", "negative_seed"])
+    def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
+        path = self.write(tmp_path, base_config(**overrides))
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]
+                    if command == "mb-run" else [command, "--config", path]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_exact_prints_quantities(self, tmp_path, capsys):
         path = self.write(tmp_path, base_config())
         assert main(["exact", "--config", path, "--format", "json"]) == EXIT_OK

@@ -10,13 +10,16 @@ from lqrpg import (
     GradientEstimate,
     IterationRecord,
     PlantNorms,
+    Purpose,
     RolloutConfig,
     RolloutOracle,
     SeedSpec,
     StepSchedule,
     StopRule,
+    detuned_initial_gain,
     exact_quantities,
     npg_step_bound,
+    paper3x3,
     pgd_step_bound,
     run_mb_gauss_newton,
     run_mb_npg,
@@ -369,6 +372,20 @@ class TestNoisyGradient:
         c = run_noisy_gradient_pgd(S1, K_ZERO, 0.05, 0.1, stop, SeedSpec(3), run_id=4)
         np.testing.assert_array_equal(a.K_final, b.K_final)
         assert not np.array_equal(a.K_final, c.K_final)
+
+    def test_step_noise_is_keyed_by_run_and_iteration(self):
+        p = paper3x3(noise_scale=0.5)
+        K = detuned_initial_gain(p)
+        trace = run_noisy_gradient_pgd(p, K, eta=0.12, noise_sigma=0.03,
+                                       stop=StopRule(max_iters=6), seeds=SeedSpec(9),
+                                       run_id=3)
+        assert trace.terminal_reason == "max_iters"
+        for i in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                entropy=9, spawn_key=(3, i, int(Purpose.PERTURBATION))))
+            delta = 0.03 * rng.standard_normal((p.n_u, p.n_x))
+            K = K - 0.12 * (exact_quantities(p, K).grad + delta)
+        np.testing.assert_array_equal(trace.K_final, K)
 
     def test_large_noise_can_diverge(self):
         diverged = 0

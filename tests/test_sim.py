@@ -21,7 +21,23 @@ from lqrpg import (
     solve_dare,
 )
 from lqrpg.plants import PlantModel
-from lqrpg.sim import default_initial_state_bound
+from lqrpg.sim import _SEED_CHUNK, default_initial_state_bound
+
+
+def reference_generator(master, run_id, rollout_id, purpose):
+    """A substream as NumPy's SeedSequence seeds it: the reference."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=master, spawn_key=(run_id, rollout_id, int(purpose))))
+
+
+def normals(g):
+    return g.standard_normal((2, 3))
+
+
+def key_words(lo):
+    """Keys below 2^32, at or above 2^32, and at or above 2^64."""
+    return st.one_of(st.integers(lo, 2**32 - 1), st.integers(2**32, 2**64),
+                     st.integers(2**64, 2**70))
 
 
 class TestSeeding:
@@ -43,6 +59,41 @@ class TestSeeding:
         a = SeedSpec(1).generator(0, 0, Purpose.NOISE).standard_normal(4)
         b = SeedSpec(2).generator(0, 0, Purpose.NOISE).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    @given(st.one_of(key_words(0), st.integers(2**128, 2**131)), key_words(0),
+           st.lists(key_words(0), max_size=6), st.sampled_from(Purpose))
+    @settings(max_examples=200, deadline=None)
+    def test_draw_matches_seed_sequence_bitwise(self, master, run_id, ids, purpose):
+        seeds = SeedSpec(master)
+        batch = seeds.draw(run_id, ids, purpose, normals)
+        ref = np.array([normals(reference_generator(master, run_id, k, purpose))
+                        for k in ids])
+        np.testing.assert_array_equal(batch, ref)
+        assert batch.shape == ref.shape
+        for k in ids[:2]:
+            np.testing.assert_array_equal(
+                seeds.generator(run_id, k, purpose).standard_normal(5),
+                reference_generator(master, run_id, k, purpose).standard_normal(5))
+
+    def test_batch_equals_its_split(self):
+        seeds = SeedSpec(17)
+        whole = seeds.draw(2, range(1000), Purpose.NOISE, normals)
+        parts = [seeds.draw(2, range(a, b), Purpose.NOISE, normals)
+                 for a, b in ((0, 1), (1, 333), (333, 1000))]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+        # 1000 ids span several hashing chunks.
+        assert 1000 > 3 * _SEED_CHUNK
+        ref = np.array([normals(reference_generator(17, 2, k, Purpose.NOISE))
+                        for k in range(1000)])
+        np.testing.assert_array_equal(whole, ref)
+
+    def test_rejects_negative_keys(self):
+        with pytest.raises(ConfigurationError, match="master_seed must be >= 0"):
+            SeedSpec(-1)
+        with pytest.raises(ConfigurationError):
+            SeedSpec(0).draw(-1, [0], Purpose.NOISE, normals)
+        with pytest.raises(ConfigurationError):
+            SeedSpec(0).draw(0, [3, -2], Purpose.NOISE, normals)
 
 
 class TestSpherePerturbation:
@@ -188,6 +239,25 @@ class TestRolloutOracle:
             rng = seeds.generator(1, k, Purpose.INITIAL_STATE)
             x0, _ = sample_initial_state(p.Sigma_0, 2.5, rng)
             np.testing.assert_array_equal(oracle.draw_initial_state(1, k), x0)
+
+    def test_batch_draws_match_single_draws(self):
+        p = paper3x3(sigma0_scale=2.0)
+        oracle = RolloutOracle(p, SeedSpec(4), L0=2.5)
+        ids = [0, 5, 2, 2**32 + 1]
+        U = oracle.draw_perturbations(0.3, 1, ids)
+        x0s = oracle.draw_initial_states(1, ids)
+        assert U.shape == (4, p.n_u, p.n_x) and x0s.shape == (4, p.n_x)
+        for j, k in enumerate(ids):
+            np.testing.assert_array_equal(U[j], oracle.draw_perturbation(0.3, 1, k))
+            np.testing.assert_array_equal(x0s[j], oracle.draw_initial_state(1, k))
+            ref_U = sample_sphere_perturbation(
+                p.n_u, p.n_x, 0.3, reference_generator(4, 1, k, Purpose.PERTURBATION))
+            ref_x0, _ = sample_initial_state(
+                p.Sigma_0, 2.5, reference_generator(4, 1, k, Purpose.INITIAL_STATE))
+            np.testing.assert_array_equal(U[j], ref_U)
+            np.testing.assert_array_equal(x0s[j], ref_x0)
+        assert oracle.draw_perturbations(0.3, 1, []).shape == (0, p.n_u, p.n_x)
+        assert oracle.draw_initial_states(1, []).shape == (0, p.n_x)
 
     def test_rollout_overflow_raises(self):
         oracle = RolloutOracle(scalar_s1(), SeedSpec(0))
