@@ -79,7 +79,6 @@ from .sim import (
     empirical_covariance,
     sample_initial_state,
     sample_sphere_perturbation,
-    simulate,
     simulate_batch,
 )
 

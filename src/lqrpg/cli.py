@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bounds import ErrorBudget, PlantNorms
+from .bounds import ErrorBudget
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -65,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("mf-run", help="run a model-free optimizer"))
     common(sub.add_parser("estimate", help="one-shot gradient/covariance "
                                            "estimate with error vs exact"))
-    bounds = sub.add_parser("bounds", help="print the certificate report")
+    bounds = sub.add_parser("bounds", help="print the certificate report at "
+                                           "ErrorBudget.even_split(0.4, 0.3)")
     common(bounds)
     bounds.add_argument("--cost", type=float, default=None,
                         help="cost level c (default: cost of the initial gain)")
@@ -177,9 +178,9 @@ def _cmd_bounds(args) -> int:
     cost = args.cost
     if cost is None:
         cost = exact_quantities(cfg.plant, cfg.K0).cost
-    budget = cfg.budget or ErrorBudget.even_split(0.4, 0.3)
     fmt = args.format or cfg.out_format
-    report = emit_bounds_report(cfg.plant, cost, budget, fmt="json" if fmt == "json" else "text")
+    report = emit_bounds_report(cfg.plant, cost, ErrorBudget.even_split(0.4, 0.3),
+                                fmt="json" if fmt == "json" else "text")
     if fmt == "json":
         print(json.dumps(report, indent=2))
     else:

@@ -43,7 +43,7 @@ from .optimizers import (
     run_noisy_gradient_pgd,
 )
 from .plants import PlantModel, paper3x3, scalar_s1
-from .sim import RolloutConfig, RolloutOracle, SeedSpec
+from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -63,8 +63,8 @@ CSV_COLUMNS = ["run_id", "iteration", "cost", "rel_subopt", "step_size",
 _OPTIMIZERS = ("mb_pgd", "mb_npg", "mb_gauss_newton", "mf_pgd", "mf_npg",
                "noisy_pgd")
 
-_TOP_KEYS = {"plant", "optimizer", "schedule", "rollout", "from_bounds",
-             "gain", "monte_carlo", "output", "label"}
+_TOP_KEYS = {"plant", "optimizer", "schedule", "rollout", "gain",
+             "monte_carlo", "output", "label"}
 
 
 def _fmt(x) -> str:
@@ -86,9 +86,6 @@ class ExperimentConfig:
     K0: np.ndarray
     stop: StopRule
     rollout: RolloutConfig | None = None
-    budget: ErrorBudget | None = None
-    cov_budget: CovErrorBudget | None = None
-    cert_source: str = "offline"
     use_vr: bool = False
     n_v: int = 1
     noise_sigma: float = 0.0
@@ -137,15 +134,6 @@ class _Violations:
             )
 
 
-def _cov_budget(budget: ErrorBudget) -> CovErrorBudget:
-    """The covariance budget that shares the gradient budget's eps_l, eps_n,
-    eps_r, delta_x and delta_n."""
-    return CovErrorBudget(
-        eps_l=budget.eps_l, eps_n=budget.eps_n, eps_r=budget.eps_r,
-        delta_x=budget.delta_x, delta_n=budget.delta_n,
-    )
-
-
 def _parse_matrix(data, loc, v):
     try:
         m = np.array(data, dtype=float)
@@ -159,15 +147,25 @@ def _parse_matrix(data, loc, v):
     return m
 
 
-def _parse_positive(value, loc, v) -> float | None:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not (math.isfinite(x) and x > 0):
-        v.add(loc, f"must be a finite positive number, got {value!r}")
+def _parse_number(value, loc, v, *, positive=True, integer=False):
+    """``value`` as a finite number > 0 (>= 0 unless ``positive``), or as an
+    int >= 1 if ``integer``; otherwise None, after a located violation.
+    Booleans and strings are not numbers."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if integer:
+        if number and isinstance(value, int) and value >= 1:
+            return value
+        v.add(loc, f"must be an integer >= 1, got {value!r}")
         return None
-    return x
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if math.isfinite(x) and (x > 0 if positive else x >= 0):
+        return x
+    v.add(loc, f"must be a finite {'positive number' if positive else 'number >= 0'}, "
+               f"got {value!r}")
+    return None
 
 
 def _parse_plant(data, v) -> PlantModel | None:
@@ -180,20 +178,32 @@ def _parse_plant(data, v) -> PlantModel | None:
         if k not in known:
             v.add(f"plant.{k}", "unknown key")
     preset = data.get("preset")
+    scales, bad = {}, False
+    for k in ("noise_cov_scale", "sigma0_scale"):
+        if k in data:
+            # Zero scales are legal: they give noise-free plants.
+            scales[k] = _parse_number(data[k], f"plant.{k}", v, positive=False)
+            unused = preset is None or (preset == "scalar_s1" and k == "sigma0_scale")
+            if unused:
+                v.add(f"plant.{k}", f"not used by preset {preset!r}" if preset
+                      else "only used with a preset")
+            bad = bad or unused or scales[k] is None
     try:
         if preset is not None:
+            if bad and preset in ("paper3x3", "scalar_s1"):
+                return None
             if preset == "paper3x3":
                 plant = paper3x3(
-                    noise_scale=float(data.get("noise_cov_scale", 1.0)),
-                    sigma0_scale=float(data.get("sigma0_scale", 1.0)),
+                    noise_scale=scales.get("noise_cov_scale", 1.0),
+                    sigma0_scale=scales.get("sigma0_scale", 1.0),
                 )
             elif preset == "scalar_s1":
                 plant = scalar_s1()
-                scale = data.get("noise_cov_scale")
-                if scale is not None:
+                if "noise_cov_scale" in scales:
                     plant = PlantModel(
                         A=plant.A, B=plant.B, Q=plant.Q, R=plant.R,
-                        Sigma_w=float(scale) * np.eye(1), Sigma_0=plant.Sigma_0,
+                        Sigma_w=scales["noise_cov_scale"] * np.eye(1),
+                        Sigma_0=plant.Sigma_0,
                     )
             else:
                 v.add("plant.preset", f"unknown preset {preset!r}")
@@ -208,7 +218,7 @@ def _parse_plant(data, v) -> PlantModel | None:
             if m is None:
                 return None
             mats[name] = m
-        return PlantModel(**mats)
+        return None if bad else PlantModel(**mats)
     except ConfigurationError as exc:
         v.add("plant", str(exc))
         return None
@@ -226,30 +236,35 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     plant = _parse_plant(data.get("plant", {"preset": "scalar_s1"}), v)
 
     opt_data = data.get("optimizer")
-    name, stop, extras = None, StopRule(), {}
+    name, stop = None, StopRule()
+    use_vr, n_v, noise_sigma = False, 1, 0.0
     if not isinstance(opt_data, dict):
         v.add("optimizer", "must be an object with a 'name'")
     else:
         known = {"name", "max_iters", "rel_subopt_tol", "grad_tol", "eta",
-                 "noise_sigma", "use_vr", "n_v", "cert_source",
-                 "max_consecutive_failures"}
+                 "noise_sigma", "use_vr", "n_v"}
         for k in opt_data:
             if k not in known:
                 v.add(f"optimizer.{k}", "unknown key")
         name = opt_data.get("name")
         if name not in _OPTIMIZERS:
             v.add("optimizer.name", f"must be one of {_OPTIMIZERS}, got {name!r}")
-        try:
-            stop = StopRule(
-                max_iters=int(opt_data.get("max_iters", 100)),
-                rel_subopt_tol=opt_data.get("rel_subopt_tol"),
-                grad_tol=opt_data.get("grad_tol"),
-            )
-        except (ConfigurationError, TypeError, ValueError) as exc:
-            v.add("optimizer", str(exc))
-        extras = opt_data
+        use_vr = opt_data.get("use_vr", False)
+        if not isinstance(use_vr, bool):
+            v.add("optimizer.use_vr", f"must be true or false, got {use_vr!r}")
+        n_v = _parse_number(opt_data.get("n_v", 1), "optimizer.n_v", v, integer=True)
+        noise_sigma = _parse_number(opt_data.get("noise_sigma", 0.0),
+                                    "optimizer.noise_sigma", v, positive=False)
+        max_iters = _parse_number(opt_data.get("max_iters", 100), "optimizer.max_iters",
+                                  v, integer=True)
+        tols = {k: None if opt_data.get(k) is None else
+                _parse_number(opt_data[k], f"optimizer.{k}", v, positive=False)
+                for k in ("rel_subopt_tol", "grad_tol")}
+        if max_iters is not None:
+            stop = StopRule(max_iters=max_iters, **tols)
 
-    sched_data = data.get("schedule", {"kind": "fixed", "eta": extras.get("eta", 0.01)})
+    eta = opt_data.get("eta", 0.01) if isinstance(opt_data, dict) else 0.01
+    sched_data = data.get("schedule", {"kind": "fixed", "eta": eta})
     schedule = None
     try:
         if not isinstance(sched_data, dict):
@@ -262,58 +277,31 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     except (ConfigurationError, TypeError) as exc:
         v.add("schedule", str(exc))
 
-    rollout, budget, cov_budget = None, None, None
+    rollout = None
     roll_data = data.get("rollout")
-    fb_data = data.get("from_bounds")
-    is_mf = name in ("mf_pgd", "mf_npg")
-    if is_mf and roll_data is None and fb_data is None:
-        v.add("rollout", "model-free runs need either explicit rollout "
-                         "parameters {n,l,r,L0} or a 'from_bounds' budget")
-    if roll_data is not None and fb_data is not None:
-        v.add("rollout", "give exactly one of 'rollout' and 'from_bounds'")
-    if roll_data is not None:
-        try:
-            if not isinstance(roll_data, dict):
-                raise ConfigurationError("must be an object")
-            allowed = {"n", "l", "r", "L0"}
-            for k in roll_data:
-                if k not in allowed:
-                    v.add(f"rollout.{k}", "unknown key")
-            L0 = roll_data.get("L0")
-            if L0 is None and plant is not None:
-                from .sim import default_initial_state_bound
-
-                L0 = default_initial_state_bound(plant.Sigma_0)
-            rollout = RolloutConfig(
-                n=int(roll_data.get("n", 0)), l=int(roll_data.get("l", 0)),
-                r=float(roll_data.get("r", 0.0)), L0=float(L0),
-            )
-        except (ConfigurationError, TypeError, ValueError) as exc:
-            v.add("rollout", str(exc))
-    if fb_data is not None:
-        try:
-            if not isinstance(fb_data, dict):
-                raise ConfigurationError("must be an object")
-            allowed = {"eps", "delta", "eps_d", "eps_l", "eps_n", "eps_r",
-                       "delta_x", "delta_n", "delta_d"}
-            for k in fb_data:
-                if k not in allowed:
-                    v.add(f"from_bounds.{k}", "unknown key")
-            if "eps" in fb_data:
-                budget = ErrorBudget.even_split(
-                    float(fb_data["eps"]), float(fb_data.get("delta", 0.1))
-                )
-            else:
-                budget = ErrorBudget(**{k: float(fb_data[k]) for k in fb_data})
-            cov_budget = _cov_budget(budget)
-        except (ConfigurationError, TypeError, ValueError) as exc:
-            v.add("from_bounds", str(exc))
+    if roll_data is None and name in ("mf_pgd", "mf_npg"):
+        v.add("rollout", "model-free runs need rollout parameters {n, l, r, L0}")
+    elif roll_data is not None and not isinstance(roll_data, dict):
+        v.add("rollout", "must be an object")
+    elif roll_data is not None:
+        for k in roll_data:
+            if k not in {"n", "l", "r", "L0"}:
+                v.add(f"rollout.{k}", "unknown key")
+        params = {k: _parse_number(roll_data.get(k), f"rollout.{k}", v, integer=k != "r")
+                  for k in ("n", "l", "r")}
+        if "L0" in roll_data:
+            params["L0"] = _parse_number(roll_data["L0"], "rollout.L0", v)
+        elif plant is not None:
+            params["L0"] = float(default_initial_state_bound(plant.Sigma_0))
+        # Without a plant there is no default L0; the plant's violation is reported.
+        if "L0" in params and None not in params.values():
+            rollout = RolloutConfig(**params)
 
     K0 = None
     gain_data = data.get("gain", {"preset": "detuned_lqr"})
     q_scale = 50.0
     if isinstance(gain_data, dict) and "q_scale" in gain_data:
-        q_scale = _parse_positive(gain_data["q_scale"], "gain.q_scale", v)
+        q_scale = _parse_number(gain_data["q_scale"], "gain.q_scale", v)
     try:
         if not (isinstance(gain_data, dict) and ("preset" in gain_data or "K0" in gain_data)):
             v.add("gain", "must give 'preset' or 'K0'")
@@ -367,7 +355,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     else:
         v.add("output", "must be an object")
 
-    noise_sigma = float(extras.get("noise_sigma", 0.0)) if extras else 0.0
     v.raise_if_any()
 
     return ExperimentConfig(
@@ -377,11 +364,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         K0=K0,
         stop=stop,
         rollout=rollout,
-        budget=budget,
-        cov_budget=cov_budget,
-        cert_source=str(extras.get("cert_source", "offline")),
-        use_vr=bool(extras.get("use_vr", False)),
-        n_v=int(extras.get("n_v", 1)),
+        use_vr=use_vr,
+        n_v=n_v,
         noise_sigma=noise_sigma,
         repetitions=repetitions,
         master_seed=master_seed,
@@ -423,25 +407,20 @@ def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
             seeds, run_id=rep,
         )
     c_star = solve_dare(cfg.plant).C_star
-    oracle = RolloutOracle(
-        cfg.plant, seeds,
-        L0=cfg.rollout.L0 if cfg.rollout is not None else None,
-    )
+    oracle = RolloutOracle(cfg.plant, seeds, L0=cfg.rollout.L0)
     norms = PlantNorms.from_plant(cfg.plant)
     run_offset = rep * (cfg.stop.max_iters + 1)
     if cfg.optimizer == "mf_pgd":
         return run_mf_pgd(
             oracle, cfg.K0, cfg.schedule, cfg.stop,
-            rollout_cfg=cfg.rollout, norms=norms, budget=cfg.budget,
-            cert_source=cfg.cert_source, c_star=c_star,
+            rollout_cfg=cfg.rollout, norms=norms, c_star=c_star,
             use_vr=cfg.use_vr, n_v=cfg.n_v, run_offset=run_offset,
         )
     if cfg.optimizer == "mf_npg":
         return run_mf_npg(
             oracle, cfg.K0, cfg.schedule, cfg.stop,
-            rollout_cfg=cfg.rollout, norms=norms, budget=cfg.budget,
-            cov_budget=cfg.cov_budget, cert_source=cfg.cert_source,
-            c_star=c_star, run_offset=run_offset,
+            rollout_cfg=cfg.rollout, norms=norms, c_star=c_star,
+            run_offset=run_offset,
         )
     raise ConfigurationError(f"unknown optimizer {cfg.optimizer!r}")
 
@@ -727,13 +706,15 @@ def emit_bounds_report(
 
     Deterministic; returns a string in text mode and a dict in json mode.
     """
-    from .sim import default_initial_state_bound
-
     if L0 is None:
         L0 = default_initial_state_bound(plant.Sigma_0)
     norms = PlantNorms.from_plant(plant)
     pc = perturbation_constants(norms, cost_value, c_star)
-    cov_budget = _cov_budget(budget)
+    # The covariance certificate gets the gradient budget's eps and delta shares.
+    cov_budget = CovErrorBudget(
+        eps_l=budget.eps_l, eps_n=budget.eps_n, eps_r=budget.eps_r,
+        delta_x=budget.delta_x, delta_n=budget.delta_n,
+    )
     grad_cert = gradient_certificate(norms, cost_value, budget, L0, c_star=c_star)
     cov_cert = covariance_certificate(norms, cost_value, cov_budget, L0,
                                       c_star=c_star)

@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    PlantNorms,
-    covariance_certificate,
-    gradient_certificate,
-    npg_step_bound,
-    pgd_step_bound,
-)
+from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
 from .errors import ConfigurationError, InstabilityError
 from .estimators import estimate_gradient_covariance, estimate_gradient_vr
 from .exact import ClosedLoopQuantities, exact_quantities, solve_dare
@@ -218,58 +212,36 @@ class _Estimated:
     """Direction from zeroth-order estimates through a rollout oracle.
 
     The recorded cost is the mean of the iteration's rollout costs, the only
-    cost observable without the model. Rollout parameters are ``rollout_cfg``
-    when given; otherwise ``certify(cost)`` derives them from a certificate
-    at the last observed cost, every iteration ("online") or once
-    ("offline"). ``estimator(K, i)`` replaces the estimate entirely (testing
-    hook).
+    cost observable without the model. Every estimate uses ``rollout_cfg``,
+    with run id ``run_offset + i`` at iteration i, unless the testing hook
+    ``estimator(K, i)`` replaces it.
     """
 
     failure = "estimate_failed"
     records_final = False
     step_c_star = 0.0
 
-    def __init__(self, estimate, certify, rollout_cfg, norms, cert_source,
-                 c_star, max_failures, estimator, run_offset):
-        if cert_source not in ("online", "offline"):
-            raise ConfigurationError(
-                f"cert_source must be online/offline, got {cert_source}"
-            )
-        self.estimate, self.certify = estimate, certify
-        self.rollout_cfg, self.norms, self.cert_source = rollout_cfg, norms, cert_source
+    def __init__(self, estimate, rollout_cfg, norms, c_star, max_failures,
+                 estimator, run_offset):
+        if rollout_cfg is None and estimator is None:
+            raise ConfigurationError("model-free runs need a RolloutConfig")
+        self.estimate, self.rollout_cfg, self.norms = estimate, rollout_cfg, norms
         self.c_star, self.max_failures = c_star, max_failures
         self.estimator, self.run_offset = estimator, run_offset
-        self.cost = None
-        self.cached = None
 
     def start(self, K0) -> np.ndarray:
         return np.asarray(K0, dtype=float)
-
-    def _config(self) -> RolloutConfig:
-        if self.rollout_cfg is not None:
-            return self.rollout_cfg
-        if self.cached is not None:
-            return self.cached
-        if self.cost is None:
-            raise ConfigurationError(
-                "from-bounds model-free runs need an initial rollout configuration "
-                "or an initial cost; provide rollout_cfg for the first iteration"
-            )
-        cfg = self.certify(self.cost)
-        if self.cert_source == "offline":
-            self.cached = cfg
-        return cfg
 
     def evaluate(self, K: np.ndarray, i: int) -> _Point | None:
         if self.estimator is not None:
             g, cov = self.estimator(K, i)
         else:
-            g, cov = self.estimate(K, self._config(), self.run_offset + i)
+            g, cov = self.estimate(K, self.rollout_cfg, self.run_offset + i)
         if g.failed:
             return None
         cost = math.nan
         if g.rollout_costs is not None and len(g.rollout_costs):
-            cost = self.cost = float(np.mean(g.rollout_costs))
+            cost = float(np.mean(g.rollout_costs))
         return _Point(i, cost, g.value, cov=cov)
 
 
@@ -441,8 +413,6 @@ def run_mf_pgd(
     stop: StopRule,
     rollout_cfg: RolloutConfig | None = None,
     norms: PlantNorms | None = None,
-    budget=None,
-    cert_source: str = "offline",
     c_star: float | None = None,
     use_vr: bool = False,
     n_v: int = 1,
@@ -452,11 +422,11 @@ def run_mf_pgd(
 ) -> ConvergenceTrace:
     """Model-free policy gradient descent with zeroth-order estimates.
 
-    Rollout parameters come either from ``rollout_cfg`` or from the gradient
-    certificate evaluated at the current empirical cost ("online") or once at
-    the initial cost ("offline"). ``use_vr`` switches to the
-    variance-reduced estimator with ``n_v`` baseline rollouts. ``estimator``
-    overrides the estimator entirely (testing hook).
+    Every iteration estimates the gradient with the rollout parameters
+    ``rollout_cfg`` (n, l, r, L0). ``use_vr`` switches to the
+    variance-reduced estimator with ``n_v`` baseline rollouts. ``norms`` is
+    needed only by the adaptive step schedules. ``estimator`` overrides the
+    estimator entirely (testing hook) and then ``rollout_cfg`` may be None.
     """
 
     def estimate(K, cfg, rid):
@@ -464,20 +434,11 @@ def run_mf_pgd(
             return estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True), None
         return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
 
-    def certify(cost):
-        if norms is None or budget is None:
-            raise ConfigurationError(
-                "model-free run needs explicit rollout parameters or norms+budget"
-            )
-        g = gradient_certificate(norms, cost, budget, L0=oracle.L0)
-        return RolloutConfig(n=max(g.N1, g.N2), l=g.l_min, r=g.r_max, L0=oracle.L0)
-
-    direction = _Estimated(estimate, certify, rollout_cfg, norms, cert_source,
-                           c_star, max_consecutive_failures, estimator, run_offset)
+    direction = _Estimated(estimate, rollout_cfg, norms, c_star,
+                           max_consecutive_failures, estimator, run_offset)
     return _optimize(
         direction, K0, schedule, stop, _gradient_step, "pgd",
-        config={"optimizer": "mf_pgd", "schedule": schedule.kind,
-                "cert_source": cert_source, "use_vr": use_vr},
+        config={"optimizer": "mf_pgd", "schedule": schedule.kind, "use_vr": use_vr},
     )
 
 
@@ -488,9 +449,6 @@ def run_mf_npg(
     stop: StopRule,
     rollout_cfg: RolloutConfig | None = None,
     norms: PlantNorms | None = None,
-    budget=None,
-    cov_budget=None,
-    cert_source: str = "offline",
     c_star: float | None = None,
     cov_floor: float | None = None,
     max_consecutive_failures: int = 5,
@@ -500,32 +458,18 @@ def run_mf_npg(
     """Model-free natural policy gradient.
 
     Each iteration estimates the gradient and the average state covariance
-    together and updates K <- K - eta * grad_hat Sigma_hat^{-1}. The
-    covariance is inverted only when its smallest eigenvalue clears
-    ``cov_floor`` (default lam_1(Sigma_w)/2 when norms are supplied, else
-    1e-8); otherwise the iteration is an estimate failure. When both budgets
-    are given, (n, l, r) combine the two certificates as max/max/min.
+    together, from the same ``rollout_cfg`` rollouts, and updates
+    K <- K - eta * grad_hat Sigma_hat^{-1}. The covariance is inverted only
+    when its smallest eigenvalue clears ``cov_floor`` (default
+    lam_1(Sigma_w)/2 when norms are supplied, else 1e-8); otherwise the
+    iteration is an estimate failure. ``estimator`` is the testing hook of
+    :func:`run_mf_pgd`.
     """
     if cov_floor is None:
         cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
 
     def estimate(K, cfg, rid):
         return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
-
-    def certify(cost):
-        if norms is None or budget is None or cov_budget is None:
-            raise ConfigurationError(
-                "model-free NPG needs explicit rollout parameters or "
-                "norms + both budgets"
-            )
-        g = gradient_certificate(norms, cost, budget, L0=oracle.L0)
-        s = covariance_certificate(norms, cost, cov_budget, L0=oracle.L0)
-        return RolloutConfig(
-            n=max(max(g.N1, g.N2), s.n_min_prime),
-            l=max(g.l_min, s.l_min_prime),
-            r=min(g.r_max, s.r_max_prime),
-            L0=oracle.L0,
-        )
 
     def step(K, pt, eta):
         if pt.cov is None or pt.cov.failed:
@@ -534,10 +478,9 @@ def run_mf_npg(
             return None
         return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
 
-    direction = _Estimated(estimate, certify, rollout_cfg, norms, cert_source,
-                           c_star, max_consecutive_failures, estimator, run_offset)
+    direction = _Estimated(estimate, rollout_cfg, norms, c_star,
+                           max_consecutive_failures, estimator, run_offset)
     return _optimize(
         direction, K0, schedule, stop, step, "npg",
-        config={"optimizer": "mf_npg", "schedule": schedule.kind,
-                "cert_source": cert_source},
+        config={"optimizer": "mf_npg", "schedule": schedule.kind},
     )

@@ -30,7 +30,6 @@ __all__ = [
     "Trajectory",
     "sample_sphere_perturbation",
     "sample_initial_state",
-    "simulate",
     "simulate_batch",
     "empirical_cost",
     "empirical_covariance",
@@ -291,42 +290,6 @@ def _bounded_draw(
             )
 
 
-def simulate(
-    plant: PlantModel,
-    K: np.ndarray,
-    x0: np.ndarray,
-    l: int,
-    rng: np.random.Generator,
-    seed_label: tuple = (),
-) -> Trajectory:
-    """Roll out x_{t+1} = (A + BK) x_t + w_t for l states starting at x0.
-
-    K need not be stabilizing; a non-finite state raises
-    :class:`OverflowedRollout` carrying the step index so divergence stays
-    observable.
-    """
-    if l < 1:
-        raise ConfigurationError(f"l must be >= 1, got {l}")
-    K = plant.check_gain(K)
-    noises = rng.standard_normal((l - 1, plant.n_x)) @ _psd_factor(plant.Sigma_w).T
-    x0 = np.asarray(x0, dtype=float).reshape(plant.n_x)
-    return _trajectory(
-        simulate_batch(plant, K[None, :, :], x0[None, :], l, noises[None, :, :]),
-        K, seed_label,
-    )
-
-
-def _trajectory(batch: tuple[np.ndarray, np.ndarray], K: np.ndarray,
-                seed_label: tuple) -> Trajectory:
-    """The one rollout of a (states, overflow) batch, or OverflowedRollout."""
-    states, overflow = batch
-    if overflow[0] >= 0:
-        raise OverflowedRollout(
-            f"state overflowed at step {overflow[0]}", step=int(overflow[0])
-        )
-    return Trajectory(states=states[0], gain_used=K, seed_label=seed_label)
-
-
 def simulate_batch(
     plant: PlantModel,
     Ks: np.ndarray,
@@ -336,8 +299,9 @@ def simulate_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized rollouts: one closed loop per row of ``Ks``.
 
-    ``noises`` has shape (n, l-1, n_x) and must come from per-rollout
-    substreams so that results match n calls to :func:`simulate` bit for bit.
+    ``noises`` has shape (n, l-1, n_x), each row from its rollout's own
+    substream (:meth:`RolloutOracle.rollout_batch`); a rollout's states do
+    not depend on the rest of its batch, bit for bit.
     Returns (states (n, l, n_x), overflow_step (n,)) where overflow_step is
     -1 for finite rollouts and the first bad step index otherwise; states of
     an overflowed rollout are zeroed from that step on.
@@ -441,11 +405,18 @@ class RolloutOracle:
         rollout_id: int,
         purpose: Purpose = Purpose.NOISE,
     ) -> Trajectory:
-        """One rollout: a batch of one, raising OverflowedRollout on overflow."""
+        """The single-rollout API: a batch of one. ``K`` need not be
+        stabilizing; a non-finite state raises OverflowedRollout at its step."""
         K = self._plant.check_gain(K)
         x0 = np.asarray(x0, dtype=float).reshape(self.n_x)
-        batch = self.rollout_batch(K[None], x0[None], l, run_id, [rollout_id], purpose)
-        return _trajectory(batch, K, (run_id, rollout_id, int(purpose)))
+        states, overflow = self.rollout_batch(K[None], x0[None], l, run_id,
+                                              [rollout_id], purpose)
+        if overflow[0] >= 0:
+            raise OverflowedRollout(
+                f"state overflowed at step {overflow[0]}", step=int(overflow[0])
+            )
+        return Trajectory(states=states[0], gain_used=K,
+                          seed_label=(run_id, rollout_id, int(purpose)))
 
     def rollout_batch(
         self,

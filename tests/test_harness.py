@@ -53,9 +53,12 @@ class TestConfigValidation:
     def test_all_violations_reported_at_once(self):
         data = base_config()
         data["bogus_top"] = 1
-        data["optimizer"]["name"] = "mf_pgd"  # needs rollout/from_bounds
+        data["optimizer"]["name"] = "mf_pgd"  # needs rollout
+        data["optimizer"]["max_consecutive_failures"] = 5
+        data["optimizer"]["cert_source"] = "offline"
         data["rollout_typo"] = {}
         data["variants"] = []
+        data["from_bounds"] = {"eps": 0.5, "delta": 0.2}
         data["schedule"] = {"kind": "nope"}
         data["plant"] = {"A": [[float("inf")]], "B": [[1.0]], "Q": [[1.0]],
                          "R": [[1.0]], "Sigma_w": [[1.0]], "Sigma_0": [[1.0]]}
@@ -66,31 +69,19 @@ class TestConfigValidation:
         assert "bogus_top" in msg
         assert "rollout_typo" in msg
         assert "variants: unknown key" in msg
+        assert "optimizer.max_consecutive_failures: unknown key" in msg
+        assert "optimizer.cert_source: unknown key" in msg
+        assert "from_bounds: unknown key" in msg
         assert "rollout" in msg
         assert "schedule" in msg
         assert "plant.A: entries must be finite" in msg
         assert "gain.K0: entries must be finite" in msg
-
-    def test_rejects_both_rollout_and_from_bounds(self):
-        data = base_config(**{"optimizer.name": "mf_pgd"})
-        data["rollout"] = {"n": 10, "l": 10, "r": 0.1}
-        data["from_bounds"] = {"eps": 0.5, "delta": 0.2}
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            config_from_dict(data)
 
     def test_rejects_negative_rollout_radius(self):
         data = base_config(**{"optimizer.name": "mf_pgd"})
         data["rollout"] = {"n": 10, "l": 10, "r": -0.1}
         with pytest.raises(ConfigurationError):
             config_from_dict(data)
-
-    def test_from_bounds_builds_budgets(self):
-        data = base_config(**{"optimizer.name": "mf_pgd"})
-        data["from_bounds"] = {"eps": 0.5, "delta": 0.2}
-        cfg = config_from_dict(data)
-        assert cfg.budget is not None and cfg.cov_budget is not None
-        assert cfg.budget.eps == pytest.approx(0.5)
-        assert cfg.budget.delta == pytest.approx(0.2)
 
     def test_paper_preset_expansion(self):
         cfg = config_from_dict(base_config(**{
@@ -295,12 +286,53 @@ class TestCli:
         ("mb-run", {"optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.1,
                     "monte_carlo.master_seed": -1},
          "monte_carlo.master_seed: must be >= 0"),
-    ], ids=["q_scale_text", "q_scale_infinite", "negative_seed"])
+        ("validate", {"optimizer.use_vr": "false"},
+         "optimizer.use_vr: must be true or false"),
+        ("validate", {"optimizer.n_v": "abc"}, "optimizer.n_v: must be an integer >= 1"),
+        ("validate", {"optimizer.n_v": 0}, "optimizer.n_v: must be an integer >= 1"),
+        ("validate", {"optimizer.noise_sigma": "abc"},
+         "optimizer.noise_sigma: must be a finite number >= 0"),
+        ("validate", {"optimizer.noise_sigma": -1},
+         "optimizer.noise_sigma: must be a finite number >= 0"),
+        ("validate", {"optimizer.max_iters": 2.5},
+         "optimizer.max_iters: must be an integer >= 1"),
+        ("validate", {"rollout": {"n": 10.7, "l": 10, "r": 0.1}},
+         "rollout.n: must be an integer >= 1"),
+        ("validate", {"optimizer.grad_tol": "abc"},
+         "optimizer.grad_tol: must be a finite number >= 0"),
+        ("validate", {"optimizer.rel_subopt_tol": float("nan")},
+         "optimizer.rel_subopt_tol: must be a finite number >= 0"),
+        ("validate", {"plant.preset": "paper3x3", "plant.noise_cov_scale": "x"},
+         "plant.noise_cov_scale: must be a finite number >= 0"),
+        ("validate", {"plant.preset": "paper3x3", "plant.sigma0_scale": "x"},
+         "plant.sigma0_scale: must be a finite number >= 0"),
+        ("validate", {"plant.sigma0_scale": 0.5},
+         "plant.sigma0_scale: not used by preset 'scalar_s1'"),
+        ("validate", {"plant": {"A": [[0.5]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]],
+                                "Sigma_w": [[1.0]], "Sigma_0": [[1.0]],
+                                "noise_cov_scale": 2.0}},
+         "plant.noise_cov_scale: only used with a preset"),
+        # Without a plant the rollout's default L0 is unknown; only the
+        # plant's violation is reported.
+        ("validate", {"plant.preset": "paper3x3", "plant.noise_cov_scale": -1,
+                      "rollout": {"n": 10, "l": 10, "r": 0.1}},
+         "plant.noise_cov_scale: must be a finite number >= 0"),
+    ], ids=["q_scale_text", "q_scale_infinite", "negative_seed", "use_vr_text",
+            "n_v_text", "n_v_zero", "noise_sigma_text", "noise_sigma_negative",
+            "max_iters_fraction", "rollout_n_fraction",
+            "grad_tol_text", "rel_subopt_tol_nan", "noise_cov_scale_text",
+            "sigma0_scale_text", "sigma0_scale_scalar_s1", "scale_inline_matrices",
+            "plant_without_L0"])
     def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
         path = self.write(tmp_path, base_config(**overrides))
-        assert main([command, "--config", path, "--out", str(tmp_path / "out")]
-                    if command == "mb-run" else [command, "--config", path]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        argv = {"validate": ["validate", path],
+                "mb-run": ["mb-run", "--config", path, "--out", str(tmp_path / "out")],
+                }.get(command, [command, "--config", path])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err
+        # The header line and this one violation, nothing else.
+        assert len(err.strip().splitlines()) == 2
 
     def test_exact_prints_quantities(self, tmp_path, capsys):
         path = self.write(tmp_path, base_config())

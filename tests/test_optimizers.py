@@ -304,12 +304,6 @@ class TestModelFreePgd:
         assert trace.records[0].cost == np.inf
         np.testing.assert_array_equal(trace.K_final, K0)
 
-    def test_rejects_bad_cert_source(self):
-        oracle = RolloutOracle(S1, SeedSpec(0))
-        with pytest.raises(ConfigurationError):
-            run_mf_pgd(oracle, K_ZERO, StepSchedule(kind="fixed", eta=0.1),
-                       StopRule(max_iters=1), cert_source="sometimes")
-
     def test_needs_rollout_or_budget(self):
         oracle = RolloutOracle(S1, SeedSpec(0))
         with pytest.raises(ConfigurationError):

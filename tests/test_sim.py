@@ -16,12 +16,11 @@ from lqrpg import (
     sample_initial_state,
     sample_sphere_perturbation,
     scalar_s1,
-    simulate,
     simulate_batch,
     solve_dare,
 )
 from lqrpg.plants import PlantModel
-from lqrpg.sim import _SEED_CHUNK, default_initial_state_bound
+from lqrpg.sim import _SEED_CHUNK, _psd_factor, default_initial_state_bound
 
 
 def reference_generator(master, run_id, rollout_id, purpose):
@@ -145,8 +144,7 @@ class TestSimulate:
     def test_noise_free_deadbeat(self):
         p = PlantModel(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
                        Sigma_w=[[0.0]], Sigma_0=[[0.0]])
-        rng = np.random.default_rng(0)
-        traj = simulate(p, [[-0.5]], [1.0], 5, rng)
+        traj = RolloutOracle(p, SeedSpec(0)).rollout([[-0.5]], [1.0], 5, 0, 0)
         np.testing.assert_allclose(traj.states[1:], 0.0)
         assert traj.states[0, 0] == 1.0
 
@@ -156,24 +154,18 @@ class TestSimulate:
         seeds = SeedSpec(9)
         K = solve_dare(plant).K_star + 0.1
         x0 = np.linspace(0.7, -0.2, plant.n_x)
-        rng = seeds.generator(0, 5, Purpose.NOISE)
-        traj = simulate(plant, K, x0, 50, rng)
+        noises = (seeds.generator(0, 5, Purpose.NOISE).standard_normal((49, plant.n_x))
+                  @ _psd_factor(plant.Sigma_w).T)
+        reference, _ = simulate_batch(plant, K[None], x0[None], 50, noises[None])
         oracle = RolloutOracle(plant, seeds)
         states, overflow = oracle.rollout_batch(
             K[None], x0[None], 50, 0, [5], Purpose.NOISE
         )
         assert overflow[0] == -1
-        np.testing.assert_array_equal(traj.states, states[0])
+        np.testing.assert_array_equal(reference[0], states[0])
         single = oracle.rollout(K, x0, 50, 0, 5)
         np.testing.assert_array_equal(single.states, states[0])
         assert single.seed_label == (0, 5, int(Purpose.NOISE))
-
-    def test_unstable_rollout_overflows(self):
-        p = scalar_s1()
-        rng = np.random.default_rng(0)
-        with pytest.raises(OverflowedRollout) as exc:
-            simulate(p, [[500.0]], [1.0], 300, rng)
-        assert exc.value.step > 0
 
     def test_batch_overflow_isolated(self):
         p = scalar_s1()
