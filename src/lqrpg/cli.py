@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--repetitions", type=int, default=None,
                         help="Monte Carlo repetition override")
         sp.add_argument("--threads", default="1",
-                        help="worker threads for repetitions (int or 'auto')")
+                        help="worker threads for model-free repetitions (int or 'auto')")
         sp.add_argument("--format", choices=("csv", "json"), default=None,
                         help="artifact format override")
 

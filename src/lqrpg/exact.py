@@ -8,11 +8,12 @@ sampling-based estimators elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InstabilityError, NumericError
-from .plants import PlantModel, closed_loop
+from .plants import PlantModel, closed_loop, spectral_radius
 
 __all__ = [
     "solve_discrete_lyapunov",
@@ -33,7 +34,7 @@ _DARE_MAX_ITER = 100_000
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -51,40 +52,53 @@ def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
         raise NumericError(f"incompatible shapes {M.shape}, {W.shape}")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(W))):
         raise NumericError("non-finite entries in Lyapunov data")
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    rho = float(spectral_radius(M))
     if rho >= 1.0:
         raise InstabilityError(
             f"spectral radius {rho:.6g} >= 1: Lyapunov series diverges",
             spectral_radius=rho,
         )
-    return _lyapunov(M, W)
+    return _lyapunov(M[None], W[None])[0]
 
 
 def _lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solver core for square M and W of one shape, M known to be Schur
-    stable. W = Q + K'RK can overflow for a finite K when n_u > n_x."""
+    """Solver core: X_j = M_j X_j M_j' + W_j for stacks M and W of shape
+    (m, n, n), every M_j known to be Schur stable. W = Q + K'RK can overflow
+    for a finite K when n_u > n_x. Each X_j is checked to its own residual
+    tolerance."""
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(W))):
         raise NumericError("non-finite entries in Lyapunov data")
-    n = M.shape[0]
+    m, n = M.shape[:2]
+    X = np.empty(M.shape)
     if n <= _KRON_MAX_DIM:
-        lhs = np.eye(n * n) - np.kron(M, M)
-        x = np.linalg.solve(lhs, W.reshape(n * n, order="F"))
-        X = x.reshape((n, n), order="F")
+        # Per matrix exactly the arithmetic of np.kron and a vector solve.
+        # Chunks keep the stacked systems within one system's size at
+        # _KRON_MAX_DIM (8 MB).
+        step = max(1, _KRON_MAX_DIM**4 // n**4)
+        for s in range(0, m, step):
+            Mc = M[s:s + step]
+            kron = (Mc[:, :, None, :, None] * Mc[:, None, :, None, :]).reshape(
+                -1, n * n, n * n)
+            vec_W = W[s:s + step].swapaxes(-1, -2).reshape(-1, n * n, 1)
+            x = np.linalg.solve(np.eye(n * n) - kron, vec_W)
+            X[s:s + step] = x.reshape(-1, n, n).swapaxes(-1, -2)
     else:
-        X = W.copy()
-        term = W.copy()
-        for _ in range(200_000):
-            term = M @ term @ M.T
-            X += term
-            if np.linalg.norm(term, "fro") <= 1e-12 * max(1.0, np.linalg.norm(X, "fro")):
-                break
-        else:
-            raise ConvergenceError("Lyapunov fixed point did not converge")
+        for j in range(m):
+            X[j] = W[j]
+            term = W[j].copy()
+            for _ in range(200_000):
+                term = M[j] @ term @ M[j].T
+                X[j] += term
+                if np.linalg.norm(term, "fro") <= 1e-12 * max(1.0, np.linalg.norm(X[j], "fro")):
+                    break
+            else:
+                raise ConvergenceError("Lyapunov fixed point did not converge")
 
     X = _symmetrize(X)
-    resid = np.linalg.norm(X - M @ X @ M.T - W, "fro")
-    if resid > 1e-10 * max(1.0, np.linalg.norm(W, "fro")):
-        raise NumericError(f"Lyapunov residual {resid:.3e} above tolerance")
+    resid = np.linalg.norm(X - M @ X @ M.swapaxes(-1, -2) - W, "fro", axis=(-2, -1))
+    tol = 1e-10 * np.maximum(1.0, np.linalg.norm(W, "fro", axis=(-2, -1)))
+    if np.any(resid > tol):
+        raise NumericError(f"Lyapunov residual {resid.max():.3e} above tolerance")
     return X
 
 
@@ -99,17 +113,53 @@ class ClosedLoopQuantities:
     grad: np.ndarray
 
 
+def _not_stabilizing(rho: float) -> InstabilityError:
+    return InstabilityError(
+        f"gain is not stabilizing (spectral radius {rho:.6g})", spectral_radius=rho,
+    )
+
+
 def _stable_closed_loop(plant: PlantModel, K) -> tuple[np.ndarray, ...]:
     """(K, A + BK, Q + K'RK) for a valid gain whose spectral radius, taken
     once by ``closed_loop``, is below 1; ``InstabilityError`` otherwise."""
     K = plant.check_gain(K)
     A_K, rep = closed_loop(plant, K)
     if not rep.is_stabilizing:
-        raise InstabilityError(
-            f"gain is not stabilizing (spectral radius {rep.spectral_radius:.6g})",
-            spectral_radius=rep.spectral_radius,
-        )
+        raise _not_stabilizing(rep.spectral_radius)
     return K, A_K, plant.Q + K.T @ plant.R @ K
+
+
+class _Stack(NamedTuple):
+    """Spectral radii of a stack of gains, and the exact quantities of its
+    stable members (radius below 1), stacked in order; ``cost`` is a vector."""
+
+    rho: np.ndarray
+    P: np.ndarray
+    Sigma: np.ndarray
+    E: np.ndarray
+    cost: np.ndarray
+    grad: np.ndarray
+
+
+def _exact_stack(plant: PlantModel, Ks: np.ndarray) -> _Stack:
+    """``exact_quantities`` for a stack of valid gains (m, n_u, n_x) at once,
+    member by member bitwise equal to it; unstable members are skipped."""
+    A_K = plant.A + plant.B @ Ks
+    rho = spectral_radius(A_K)
+    stable = rho < 1.0
+    if not stable.all():
+        A_K, Ks = A_K[stable], Ks[stable]
+    Q_K = plant.Q + Ks.swapaxes(-1, -2) @ plant.R @ Ks
+    # Both Lyapunov equations of every member in one stacked solve.
+    m = len(A_K)
+    X = _lyapunov(np.concatenate([A_K.swapaxes(-1, -2), A_K]),
+                  np.concatenate([Q_K, np.broadcast_to(plant.Sigma_w, A_K.shape)]))
+    P, Sigma = X[:m], X[m:]
+    BtP = plant.B.T @ P
+    E = (plant.R + BtP @ plant.B) @ Ks + BtP @ plant.A
+    cost = np.trace(P @ plant.Sigma_w, axis1=-2, axis2=-1)
+    grad = 2.0 * E @ Sigma
+    return _Stack(rho, P, Sigma, E, cost, grad)
 
 
 def exact_quantities(plant: PlantModel, K: np.ndarray) -> ClosedLoopQuantities:
@@ -119,13 +169,11 @@ def exact_quantities(plant: PlantModel, K: np.ndarray) -> ClosedLoopQuantities:
     P solves P = Q_K + A_K' P A_K, Sigma solves Sigma = Sigma_w + A_K Sigma A_K',
     E = (R + B'PB)K + B'PA, cost = Tr(P Sigma_w), grad = 2 E Sigma.
     """
-    K, A_K, Q_K = _stable_closed_loop(plant, K)
-    P = _lyapunov(A_K.T, Q_K)
-    Sigma = _lyapunov(A_K, plant.Sigma_w)
-    E = (plant.R + plant.B.T @ P @ plant.B) @ K + plant.B.T @ P @ plant.A
-    cost = float(np.trace(P @ plant.Sigma_w))
-    grad = 2.0 * E @ Sigma
-    return ClosedLoopQuantities(P=P, Sigma=Sigma, E=E, cost=cost, grad=grad)
+    s = _exact_stack(plant, plant.check_gain(K)[None])
+    if not s.rho[0] < 1.0:
+        raise _not_stabilizing(float(s.rho[0]))
+    return ClosedLoopQuantities(P=s.P[0], Sigma=s.Sigma[0], E=s.E[0],
+                                cost=float(s.cost[0]), grad=s.grad[0])
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,12 @@ from .optimizers import (
     ConvergenceTrace,
     StepSchedule,
     StopRule,
-    run_mb_gauss_newton,
-    run_mb_npg,
-    run_mb_pgd,
+    _mb_gauss_newton,
+    _mb_npg,
+    _mb_pgd,
+    _noisy_gradient_pgd,
     run_mf_npg,
     run_mf_pgd,
-    run_noisy_gradient_pgd,
 )
 from .plants import PlantModel, paper3x3, scalar_s1
 from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
@@ -62,6 +62,8 @@ CSV_COLUMNS = ["run_id", "iteration", "cost", "rel_subopt", "step_size",
 
 _OPTIMIZERS = ("mb_pgd", "mb_npg", "mb_gauss_newton", "mf_pgd", "mf_npg",
                "noisy_pgd")
+# Exact-gradient optimizers: their repetitions run in lockstep.
+_LOCKSTEP = ("mb_pgd", "mb_npg", "mb_gauss_newton", "noisy_pgd")
 
 _TOP_KEYS = {"plant", "optimizer", "schedule", "rollout", "gain",
              "monte_carlo", "output", "label"}
@@ -149,13 +151,14 @@ def _parse_matrix(data, loc, v):
 
 def _parse_number(value, loc, v, *, positive=True, integer=False):
     """``value`` as a finite number > 0 (>= 0 unless ``positive``), or as an
-    int >= 1 if ``integer``; otherwise None, after a located violation.
-    Booleans and strings are not numbers."""
+    int >= 1 (>= 0 unless ``positive``) if ``integer``; otherwise None, after
+    a located violation. Booleans and strings are not numbers."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if integer:
-        if number and isinstance(value, int) and value >= 1:
+        lo = 1 if positive else 0
+        if number and isinstance(value, int) and value >= lo:
             return value
-        v.add(loc, f"must be an integer >= 1, got {value!r}")
+        v.add(loc, f"must be an integer >= {lo}, got {value!r}")
         return None
     try:
         x = float(value) if number else math.nan
@@ -269,11 +272,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         if not isinstance(sched_data, dict):
             raise ConfigurationError("must be an object")
-        allowed = {"kind", "eta", "a", "b", "c"}
-        for k in sched_data:
-            if k not in allowed:
+        params, bad = {}, False
+        for k, val in sched_data.items():
+            if k in ("eta", "a", "b", "c"):
+                # Signs and presence are the schedule kind's to check.
+                params[k] = _parse_number(val, f"schedule.{k}", v, positive=False)
+                bad = bad or params[k] is None
+            elif k == "kind":
+                params[k] = val
+            else:
                 v.add(f"schedule.{k}", "unknown key")
-        schedule = StepSchedule(**{k: sched_data[k] for k in sched_data if k in allowed})
+        if not bad:
+            schedule = StepSchedule(**params)
     except (ConfigurationError, TypeError) as exc:
         v.add("schedule", str(exc))
 
@@ -332,15 +342,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         for k in mc:
             if k not in {"repetitions", "master_seed"}:
                 v.add(f"monte_carlo.{k}", "unknown key")
-        try:
-            repetitions = int(mc.get("repetitions", 1))
-            master_seed = int(mc.get("master_seed", 0))
-            if repetitions < 1:
-                v.add("monte_carlo.repetitions", "must be >= 1")
-            if master_seed < 0:
-                v.add("monte_carlo.master_seed", "must be >= 0")
-        except (TypeError, ValueError) as exc:
-            v.add("monte_carlo", str(exc))
+        repetitions = _parse_number(mc.get("repetitions", 1),
+                                    "monte_carlo.repetitions", v, integer=True)
+        master_seed = _parse_number(mc.get("master_seed", 0), "monte_carlo.master_seed",
+                                    v, positive=False, integer=True)
 
     out = data.get("output", {})
     out_dir, out_format = "out", "csv"
@@ -392,22 +397,26 @@ def parse_config(path: str) -> ExperimentConfig:
     return config_from_dict(_load_json(path))
 
 
-def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
-    """One Monte Carlo repetition; substreams are keyed by ``rep``."""
-    seeds = SeedSpec(cfg.master_seed)
+def _run_lockstep(cfg: ExperimentConfig) -> list[ConvergenceTrace]:
+    """All repetitions of an exact-gradient variant as one stack of runs;
+    repetition rep's noise substreams are keyed by ``rep``."""
+    K0s = [cfg.K0] * cfg.repetitions
     if cfg.optimizer == "mb_pgd":
-        return run_mb_pgd(cfg.plant, cfg.K0, cfg.schedule, cfg.stop)
+        return _mb_pgd(cfg.plant, K0s, cfg.schedule, cfg.stop)
     if cfg.optimizer == "mb_npg":
-        return run_mb_npg(cfg.plant, cfg.K0, cfg.schedule, cfg.stop)
+        return _mb_npg(cfg.plant, K0s, cfg.schedule, cfg.stop)
     if cfg.optimizer == "mb_gauss_newton":
-        return run_mb_gauss_newton(cfg.plant, cfg.K0, cfg.schedule.eta, cfg.stop)
-    if cfg.optimizer == "noisy_pgd":
-        return run_noisy_gradient_pgd(
-            cfg.plant, cfg.K0, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
-            seeds, run_id=rep,
-        )
+        return _mb_gauss_newton(cfg.plant, K0s, cfg.schedule.eta, cfg.stop)
+    return _noisy_gradient_pgd(
+        cfg.plant, K0s, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
+        SeedSpec(cfg.master_seed), range(cfg.repetitions),
+    )
+
+
+def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
+    """One model-free Monte Carlo repetition; substreams are keyed by ``rep``."""
     c_star = solve_dare(cfg.plant).C_star
-    oracle = RolloutOracle(cfg.plant, seeds, L0=cfg.rollout.L0)
+    oracle = RolloutOracle(cfg.plant, SeedSpec(cfg.master_seed), L0=cfg.rollout.L0)
     norms = PlantNorms.from_plant(cfg.plant)
     run_offset = rep * (cfg.stop.max_iters + 1)
     if cfg.optimizer == "mf_pgd":
@@ -461,14 +470,13 @@ def _aggregate_rows(traces: list[ConvergenceTrace]) -> list[list]:
     diverge; they are counted in diverged_count instead.
     """
     max_len = max(len(t.records) for t in traces)
+    div_idxs = [next((r.i for r in t.records if r.status == "diverged"), None)
+                for t in traces]
     rows = []
     for i in range(max_len):
         vals = []
         diverged = 0
-        for t in traces:
-            div_idx = next(
-                (r.i for r in t.records if r.status == "diverged"), None
-            )
+        for t, div_idx in zip(traces, div_idxs):
             if div_idx is not None and i >= div_idx:
                 diverged += 1
                 continue
@@ -507,8 +515,11 @@ def run_monte_carlo(
     """Execute ``cfg.repetitions`` independent runs and emit the artifact
     bundle (per-run CSV/JSON, aggregate CSV, manifest JSON).
 
-    Results are collected in repetition order, so outputs do not depend on
-    the thread count.
+    The repetitions of an exact-gradient variant (mb_pgd, mb_npg,
+    mb_gauss_newton, noisy_pgd) run in lockstep as one stack; ``threads``
+    spreads only model-free repetitions over a thread pool. Results are
+    collected in repetition order, so outputs do not depend on the thread
+    count.
     """
     if cfg.variants:
         subs = []
@@ -535,7 +546,9 @@ def run_monte_carlo(
     else:
         workers = max(1, int(threads))
 
-    if workers == 1:
+    if cfg.optimizer in _LOCKSTEP:
+        traces = _run_lockstep(cfg)
+    elif workers == 1:
         traces = [_run_single(cfg, rep) for rep in range(cfg.repetitions)]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -592,8 +605,9 @@ def _json_safe(obj):
 
 
 def _variant(base: dict, label: str, plants: dict, **overrides) -> ExperimentConfig:
-    """``base`` with ``overrides`` applied; variants whose plant sections are
-    equal share the instance in ``plants``, and so its one Riccati solve."""
+    """``base``, whose gain is the detuned preset, with ``overrides``
+    applied. Variants whose plant sections are equal share the instance in
+    ``plants``, so its one Riccati solve, and its one detuned gain."""
     data = json.loads(json.dumps(base))
     data["label"] = label
     for key, val in overrides.items():
@@ -602,9 +616,14 @@ def _variant(base: dict, label: str, plants: dict, **overrides) -> ExperimentCon
         for p in parts[:-1]:
             node = node.setdefault(p, {})
         node[parts[-1]] = val
-    cfg = config_from_dict(data)
-    plant = plants.setdefault(json.dumps(data["plant"], sort_keys=True), cfg.plant)
-    return replace(cfg, plant=plant)
+    # Validated with the zero gain, which needs no solve; the detuned gain
+    # is solved once per plant below.
+    cfg = config_from_dict({**data, "gain": {"preset": "zero"}})
+    key = json.dumps(data["plant"], sort_keys=True)
+    if key not in plants:
+        plants[key] = (cfg.plant, detuned_initial_gain(cfg.plant))
+    plant, K0 = plants[key]
+    return replace(cfg, plant=plant, K0=K0, raw=data)
 
 
 def figure_preset(
@@ -666,17 +685,16 @@ def figure_preset(
         base["optimizer"] = {"name": "mf_npg", "max_iters": 40}
         base["rollout"] = {"n": 1000, "l": 100, "r": 0.04}
         for scale in (1e-4, 1e-2, 1.0):
-            for mode in ("fixed", "adaptive"):
-                if mode == "adaptive":
-                    sched = {"kind": "adaptive_empirical", "a": 0.09, "b": 1, "c": 2}
-                else:
-                    sched = {"kind": "fixed",
-                             "eta": _fig4_fixed_eta(scale)}
-                variants.append(_variant(
-                    base, f"noise{scale}_{mode}", plants,
-                    **{"plant.noise_cov_scale": scale,
-                       "plant.sigma0_scale": scale, "schedule": sched},
-                ))
+            noise = {"plant.noise_cov_scale": scale, "plant.sigma0_scale": scale}
+            adaptive = _variant(
+                base, f"noise{scale}_adaptive", plants, **noise,
+                schedule={"kind": "adaptive_empirical", "a": 0.09, "b": 1, "c": 2},
+            )
+            fixed = _variant(
+                base, f"noise{scale}_fixed", plants, **noise,
+                schedule={"kind": "fixed", "eta": _fig4_fixed_eta(adaptive)},
+            )
+            variants += [fixed, adaptive]
     else:
         raise ConfigurationError(f"unknown figure preset {name!r}")
 
@@ -684,12 +702,10 @@ def figure_preset(
     return replace(variants[0], label=name, variants=tuple(variants))
 
 
-def _fig4_fixed_eta(noise_scale: float) -> float:
-    """Fixed natural-gradient step 0.09 / (1 + 2 Tr(P)) at the detuned
-    starting gain, matching the adaptive rule's value there."""
-    plant = paper3x3(noise_scale=noise_scale)
-    K0 = detuned_initial_gain(plant)
-    P = exact_quantities(plant, K0).P
+def _fig4_fixed_eta(var: ExperimentConfig) -> float:
+    """Fixed natural-gradient step 0.09 / (1 + 2 Tr(P)) at the variant's
+    detuned starting gain, matching the adaptive rule's value there."""
+    P = exact_quantities(var.plant, var.K0).P
     return 0.09 / (1.0 + 2.0 * float(np.trace(P)))
 
 

@@ -8,6 +8,9 @@ direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
 zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
 run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
+The loop advances a stack of runs in lockstep; the public functions run a
+stack of one, and the harness runs every repetition of an exact-gradient
+variant as one stack.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
-from .errors import ConfigurationError, InstabilityError
+from .errors import ConfigurationError
 from .estimators import estimate_gradient_covariance, estimate_gradient_vr
-from .exact import ClosedLoopQuantities, exact_quantities, solve_dare
+from .exact import ClosedLoopQuantities, _exact_stack, _not_stabilizing, solve_dare
 from .plants import PlantModel, smallest_eigenvalue
 from .sim import Purpose, RolloutConfig, RolloutOracle, SeedSpec
 
@@ -168,9 +171,11 @@ def _stop_reason(stop: StopRule, i: int, rel: float | None, grad_norm: float):
 
 
 class _Point(NamedTuple):
-    """One evaluation of the current gain: its cost, the (estimated)
-    gradient, and the exact quantities or covariance estimate behind them."""
+    """One evaluation of run ``run``'s current gain: its cost, the
+    (estimated) gradient, and the exact quantities or covariance estimate
+    behind them."""
 
+    run: int
     i: int
     cost: float
     grad: np.ndarray
@@ -181,8 +186,10 @@ class _Point(NamedTuple):
 class _Exact:
     """Direction from the exact closed-loop quantities.
 
-    Solves the DARE once for the optimal cost, treats an unstable gain as
-    divergence, and records the final gain after the last step.
+    Solves the DARE once for the optimal cost, evaluates the gains of all
+    active runs in one call of the batched core, treats an unstable gain as
+    the divergence of its run, and records the final gain after the last
+    step.
     """
 
     failure = "diverged"
@@ -195,21 +202,30 @@ class _Exact:
         if schedule.kind != "fixed":
             self.norms = PlantNorms.from_plant(plant)
 
-    def start(self, K0) -> np.ndarray:
-        return self.plant.check_gain(K0)
+    def start(self, K0s) -> list[np.ndarray]:
+        return [self.plant.check_gain(K0) for K0 in K0s]
 
-    def evaluate(self, K: np.ndarray, i: int) -> _Point | None:
-        try:
-            q = exact_quantities(self.plant, K)
-        except InstabilityError as exc:
-            if i == 0:
-                raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
-            return None
-        return _Point(i, q.cost, q.grad, q=q)
+    def evaluate(self, Ks: list, runs: list[int], i: int) -> list[_Point | None]:
+        s = _exact_stack(self.plant, np.array([Ks[r] for r in runs]))
+        stable = s.rho < 1.0
+        if i == 0 and not stable.all():
+            exc = _not_stabilizing(float(s.rho[~stable][0]))
+            raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
+        points, j = [], 0
+        for r, ok in zip(runs, stable):
+            if not ok:
+                points.append(None)
+                continue
+            q = ClosedLoopQuantities(P=s.P[j], Sigma=s.Sigma[j], E=s.E[j],
+                                     cost=float(s.cost[j]), grad=s.grad[j])
+            points.append(_Point(r, i, q.cost, q.grad, q=q))
+            j += 1
+        return points
 
 
 class _Estimated:
-    """Direction from zeroth-order estimates through a rollout oracle.
+    """Direction from zeroth-order estimates through a rollout oracle, for a
+    stack of one run.
 
     The recorded cost is the mean of the iteration's rollout costs, the only
     cost observable without the model. Every estimate uses ``rollout_cfg``,
@@ -229,85 +245,104 @@ class _Estimated:
         self.c_star, self.max_failures = c_star, max_failures
         self.estimator, self.run_offset = estimator, run_offset
 
-    def start(self, K0) -> np.ndarray:
-        return np.asarray(K0, dtype=float)
+    def start(self, K0s) -> list[np.ndarray]:
+        return [np.asarray(K0, dtype=float) for K0 in K0s]
 
-    def evaluate(self, K: np.ndarray, i: int) -> _Point | None:
+    def evaluate(self, Ks: list, runs: list[int], i: int) -> list[_Point | None]:
+        (r,) = runs
         if self.estimator is not None:
-            g, cov = self.estimator(K, i)
+            g, cov = self.estimator(Ks[r], i)
         else:
-            g, cov = self.estimate(K, self.rollout_cfg, self.run_offset + i)
+            g, cov = self.estimate(Ks[r], self.rollout_cfg, self.run_offset + i)
         if g.failed:
-            return None
+            return [None]
         cost = math.nan
         if g.rollout_costs is not None and len(g.rollout_costs):
             cost = float(np.mean(g.rollout_costs))
-        return _Point(i, cost, g.value, cov=cov)
+        return [_Point(r, i, cost, g.value, cov=cov)]
 
 
-def _optimize(direction, K0, schedule: StepSchedule, stop: StopRule, step,
-              flavor: str, config: dict, seed: int | None = None) -> ConvergenceTrace:
-    """The one optimization loop.
+class _Run:
+    """Records, divergence ceiling, failure count and end of one run."""
 
-    Each iteration evaluates the current gain, stops on divergence (an
-    infinite cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR``
-    times the first finite cost) or the stop rule, and otherwise moves to
-    ``step(K, point, eta)``. Before a finite cost a NaN cost is unobservable,
-    not divergence. A failed evaluation ends the run as ``direction.failure``
-    "diverged"; otherwise it counts, like a step that returns None, toward
-    ``direction.max_failures`` consecutive failures. Exact directions
-    evaluate once more after the last step to record the final gain.
-    """
-    records: list[IterationRecord] = []
+    def __init__(self):
+        self.records: list[IterationRecord] = []
+        self.ceiling = None
+        self.failures = 0
+        self.reason = None
 
-    def record(cost, rel, eta, grad_norm, status="ok"):
-        records.append(IterationRecord(
-            i=len(records), cost=float(cost), rel_subopt=rel, step=float(eta),
+    def record(self, cost, rel, eta, grad_norm, status="ok"):
+        self.records.append(IterationRecord(
+            i=len(self.records), cost=float(cost), rel_subopt=rel, step=float(eta),
             grad_norm=float(grad_norm), status=status,
         ))
 
-    def finish(K, reason) -> ConvergenceTrace:
-        return ConvergenceTrace(records=records, K_final=np.array(K),
-                                terminal_reason=reason, config=config, seed=seed)
 
-    K = direction.start(K0)
-    ceiling = None
-    failures = 0
+def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
+              flavor: str, config: dict, seed: int | None = None
+              ) -> list[ConvergenceTrace]:
+    """The one optimization loop, over a stack of runs in lockstep.
+
+    Run r starts from ``K0s[r]``. Each iteration evaluates the current gains
+    of the runs still active in one ``direction.evaluate`` call. A run stops
+    on divergence (an infinite cost, or a NaN cost or one past
+    ``DIVERGENCE_CEILING_FACTOR`` times its first finite cost) or the stop
+    rule, and otherwise moves to ``step(K, point, eta)``. Before a finite
+    cost a NaN cost is unobservable, not divergence. A failed evaluation ends
+    the run as ``direction.failure`` "diverged"; otherwise it counts, like a
+    step that returns None, toward ``direction.max_failures`` consecutive
+    failures. Exact directions evaluate once more after the last step to
+    record the final gain. One run's end leaves the others running.
+    """
+    Ks = direction.start(K0s)
+    runs = [_Run() for _ in Ks]
+    active = list(range(len(Ks)))
     for i in range(stop.max_iters + direction.records_final):
-        pt = direction.evaluate(K, i)
-        if pt is None:
-            record(math.inf, None, 0.0, math.nan, status=direction.failure)
-            if direction.failure == "diverged":
-                return finish(K, "diverged")
-        else:
-            # A huge but finite estimated gradient has an infinite norm.
-            with np.errstate(over="ignore"):
-                grad_norm = float(np.linalg.norm(pt.grad, "fro"))
-            rel = _rel_subopt(pt.cost, direction.c_star)
-            if ceiling is None and math.isfinite(pt.cost):
-                ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)
-            if math.isinf(pt.cost) or (
-                ceiling is not None and (math.isnan(pt.cost) or pt.cost > ceiling)
-            ):
-                record(pt.cost, rel, 0.0, grad_norm, status="diverged")
-                return finish(K, "diverged")
-            reason = _stop_reason(stop, i, rel, grad_norm)
-            if reason is not None:
-                record(pt.cost, rel, 0.0, grad_norm)
-                return finish(K, reason)
-            eta = schedule.step_size(pt.cost, direction.norms, flavor,
-                                     c_star=direction.step_c_star)
-            K_next = step(K, pt, eta)
-            if K_next is not None:
-                failures = 0
-                record(pt.cost, rel, eta, grad_norm)
-                K = K_next
-                continue
-            record(pt.cost, rel, 0.0, grad_norm, status="estimate_failed")
-        failures += 1
-        if failures >= direction.max_failures:
-            return finish(K, "too_many_failures")
-    return finish(K, "max_iters")
+        for r, pt in zip(active, direction.evaluate(Ks, active, i)):
+            run = runs[r]
+            if pt is None:
+                run.record(math.inf, None, 0.0, math.nan, status=direction.failure)
+                if direction.failure == "diverged":
+                    run.reason = "diverged"
+                    continue
+            else:
+                # A huge but finite estimated gradient has an infinite norm.
+                with np.errstate(over="ignore"):
+                    grad_norm = float(np.linalg.norm(pt.grad, "fro"))
+                rel = _rel_subopt(pt.cost, direction.c_star)
+                if run.ceiling is None and math.isfinite(pt.cost):
+                    run.ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)
+                if math.isinf(pt.cost) or (
+                    run.ceiling is not None
+                    and (math.isnan(pt.cost) or pt.cost > run.ceiling)
+                ):
+                    run.record(pt.cost, rel, 0.0, grad_norm, status="diverged")
+                    run.reason = "diverged"
+                    continue
+                reason = _stop_reason(stop, i, rel, grad_norm)
+                if reason is not None:
+                    run.record(pt.cost, rel, 0.0, grad_norm)
+                    run.reason = reason
+                    continue
+                eta = schedule.step_size(pt.cost, direction.norms, flavor,
+                                         c_star=direction.step_c_star)
+                K_next = step(Ks[r], pt, eta)
+                if K_next is not None:
+                    run.failures = 0
+                    run.record(pt.cost, rel, eta, grad_norm)
+                    Ks[r] = K_next
+                    continue
+                run.record(pt.cost, rel, 0.0, grad_norm, status="estimate_failed")
+            run.failures += 1
+            if run.failures >= direction.max_failures:
+                run.reason = "too_many_failures"
+        active = [r for r in active if runs[r].reason is None]
+        if not active:
+            break
+    return [ConvergenceTrace(records=run.records, K_final=np.array(K),
+                             terminal_reason=run.reason or "max_iters",
+                             config=config, seed=seed)
+            for run, K in zip(runs, Ks)]
 
 
 def _gradient_step(K, pt, eta):
@@ -318,8 +353,12 @@ def run_mb_pgd(
     plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
 ) -> ConvergenceTrace:
     """Exact policy gradient descent K <- K - eta * grad C(K)."""
+    return _mb_pgd(plant, [K0], schedule, stop)[0]
+
+
+def _mb_pgd(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
     return _optimize(
-        _Exact(plant, schedule), K0, schedule, stop, _gradient_step, "pgd",
+        _Exact(plant, schedule), K0s, schedule, stop, _gradient_step, "pgd",
         config={"optimizer": "mb_pgd", "schedule": schedule.kind},
     )
 
@@ -343,8 +382,12 @@ def run_mb_npg(
     The update equals K - eta * grad C(K) Sigma_K^{-1}; both forms are
     evaluated and must agree to 1e-10, which guards the Lyapunov solves.
     """
+    return _mb_npg(plant, [K0], schedule, stop)[0]
+
+
+def _mb_npg(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
     return _optimize(
-        _Exact(plant, schedule), K0, schedule, stop, _natural_step, "npg",
+        _Exact(plant, schedule), K0s, schedule, stop, _natural_step, "npg",
         config={"optimizer": "mb_npg", "schedule": schedule.kind},
     )
 
@@ -357,6 +400,10 @@ def run_mb_gauss_newton(
     With eta = 1/2 each step is exactly the policy-improvement map
     -(R + B'PB)^{-1} B'PA.
     """
+    return _mb_gauss_newton(plant, [K0], eta, stop)[0]
+
+
+def _mb_gauss_newton(plant, K0s, eta, stop) -> list[ConvergenceTrace]:
     if not (0.0 < eta <= 0.5):
         raise ConfigurationError(f"Gauss-Newton requires 0 < eta <= 1/2, got {eta}")
 
@@ -366,7 +413,7 @@ def run_mb_gauss_newton(
 
     schedule = StepSchedule(kind="fixed", eta=eta)
     return _optimize(
-        _Exact(plant, schedule), K0, schedule, stop, step, "pgd",
+        _Exact(plant, schedule), K0s, schedule, stop, step, "pgd",
         config={"optimizer": "mb_gauss_newton", "eta": eta},
     )
 
@@ -382,24 +429,34 @@ def run_noisy_gradient_pgd(
 ) -> ConvergenceTrace:
     """Gradient descent on the exact gradient plus i.i.d. Gaussian noise:
     K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2)."""
+    return _noisy_gradient_pgd(plant, [K0], eta, noise_sigma, stop, seeds,
+                               [run_id])[0]
+
+
+def _noisy_gradient_pgd(plant, K0s, eta, noise_sigma, stop, seeds,
+                        run_ids) -> list[ConvergenceTrace]:
+    """Run r of the stack draws its noise from the substreams of
+    ``run_ids[r]``."""
     if not eta > 0:
         raise ConfigurationError(f"eta must be positive, got {eta}")
     if noise_sigma < 0:
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
 
-    # Iteration i's noise is its (run_id, i) substream, drawn in one batch.
-    deltas = np.zeros(stop.max_iters)
+    # Iteration i's noise is its (run_id, i) substream, drawn in one batch
+    # per run.
+    deltas = np.zeros((len(run_ids), stop.max_iters))
     if noise_sigma > 0:
-        deltas = noise_sigma * seeds.draw(
+        deltas = np.array([noise_sigma * seeds.draw(
             run_id, range(stop.max_iters), Purpose.PERTURBATION,
             lambda g: g.standard_normal((plant.n_u, plant.n_x)))
+            for run_id in run_ids])
 
     def step(K, pt, eta_i):
-        return K - eta_i * (pt.grad + deltas[pt.i])
+        return K - eta_i * (pt.grad + deltas[pt.run, pt.i])
 
     schedule = StepSchedule(kind="fixed", eta=eta)
     return _optimize(
-        _Exact(plant, schedule), K0, schedule, stop, step, "pgd",
+        _Exact(plant, schedule), K0s, schedule, stop, step, "pgd",
         config={"optimizer": "noisy_gradient_pgd", "eta": eta,
                 "noise_sigma": noise_sigma},
         seed=seeds.master_seed,
@@ -437,9 +494,9 @@ def run_mf_pgd(
     direction = _Estimated(estimate, rollout_cfg, norms, c_star,
                            max_consecutive_failures, estimator, run_offset)
     return _optimize(
-        direction, K0, schedule, stop, _gradient_step, "pgd",
+        direction, [K0], schedule, stop, _gradient_step, "pgd",
         config={"optimizer": "mf_pgd", "schedule": schedule.kind, "use_vr": use_vr},
-    )
+    )[0]
 
 
 def run_mf_npg(
@@ -481,6 +538,6 @@ def run_mf_npg(
     direction = _Estimated(estimate, rollout_cfg, norms, c_star,
                            max_consecutive_failures, estimator, run_offset)
     return _optimize(
-        direction, K0, schedule, stop, step, "npg",
+        direction, [K0], schedule, stop, step, "npg",
         config={"optimizer": "mf_npg", "schedule": schedule.kind},
-    )
+    )[0]

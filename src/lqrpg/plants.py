@@ -118,9 +118,14 @@ class StabilityReport:
         object.__setattr__(self, "is_stabilizing", self.spectral_radius < 1.0)
 
 
+def spectral_radius(M: np.ndarray):
+    """Largest eigenvalue modulus of a square matrix, or of each matrix in a
+    stack (..., n, n); one batched eigenvalue computation."""
+    return np.max(np.abs(np.linalg.eigvals(M)), axis=-1)
+
+
 def stability_report(M: np.ndarray) -> StabilityReport:
-    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-    return StabilityReport(spectral_radius=rho)
+    return StabilityReport(spectral_radius=float(spectral_radius(M)))
 
 
 def closed_loop(plant: PlantModel, K: np.ndarray):

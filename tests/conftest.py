@@ -38,6 +38,13 @@ def random_stabilizing_gain(plant: PlantModel, rng: np.random.Generator,
     return K_star
 
 
+def assert_same_trace(a, b):
+    """Bitwise equal records (repr round-trips every float) and final gain."""
+    assert repr(a.records) == repr(b.records)
+    assert a.terminal_reason == b.terminal_reason
+    assert a.K_final.tobytes() == b.K_final.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250826)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lqrpg.exact
 from lqrpg import (
     InstabilityError,
+    closed_loop,
     exact_quantities,
     finite_horizon_quantities,
     gradient_domination_mu,
@@ -94,6 +98,63 @@ class TestExactQuantities:
             Q_K = p.Q + K.T @ p.R @ K
             np.testing.assert_array_equal(q.P, solve_discrete_lyapunov(A_K.T, Q_K))
             np.testing.assert_array_equal(q.Sigma, solve_discrete_lyapunov(A_K, p.Sigma_w))
+
+
+def _reference_lyapunov(M, W):
+    """The single-matrix Kronecker solve: np.kron and a vector right side."""
+    n = M.shape[0]
+    x = np.linalg.solve(np.eye(n * n) - np.kron(M, M), W.reshape(n * n, order="F"))
+    X = x.reshape((n, n), order="F")
+    return 0.5 * (X + X.T)
+
+
+def _reference_quantities(p, K):
+    A_K = p.A + p.B @ K
+    P = _reference_lyapunov(A_K.T, p.Q + K.T @ p.R @ K)
+    Sigma = _reference_lyapunov(A_K, p.Sigma_w)
+    E = (p.R + p.B.T @ P @ p.B) @ K + p.B.T @ P @ p.A
+    return P, Sigma, E, float(np.trace(P @ p.Sigma_w)), 2.0 * E @ Sigma
+
+
+class TestExactStack:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 6), st.floats(0.0, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_matches_single_gains_bitwise(self, seed, n_x, n_u, m, spread):
+        """The batched core, member by member, is exact_quantities and the
+        single-matrix Kronecker solve bit for bit; its mask is closed_loop's."""
+        rng = np.random.default_rng(seed)
+        p = random_plant(rng, n_x, n_u)
+        K_star = solve_dare(p).K_star
+        Ks = K_star + spread * rng.normal(size=(m, n_u, n_x))
+        # One member far outside the stability region.
+        Ks[rng.integers(m)] = 100.0 * rng.normal(size=(n_u, n_x))
+        s = lqrpg.exact._exact_stack(p, Ks)
+        j = 0
+        for K, rho in zip(Ks, s.rho):
+            _, rep = closed_loop(p, K)
+            assert rho == rep.spectral_radius
+            if not rep.is_stabilizing:
+                with pytest.raises(InstabilityError):
+                    exact_quantities(p, K)
+                continue
+            q = exact_quantities(p, K)
+            got = (s.P[j], s.Sigma[j], s.E[j], s.cost[j], s.grad[j])
+            for a, b, c in zip(got, (q.P, q.Sigma, q.E, q.cost, q.grad),
+                               _reference_quantities(p, K)):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+            j += 1
+        assert j == len(s.cost) == len(s.P)
+
+    def test_chunked_solve_matches_single_solves(self, rng, monkeypatch):
+        """Stacks longer than one chunk solve each member as alone."""
+        monkeypatch.setattr(lqrpg.exact, "_KRON_MAX_DIM", 3)  # chunks of 5 at n = 2
+        M = 0.4 * rng.normal(size=(12, 2, 2))
+        W = np.eye(2) + 0.1 * np.arange(12)[:, None, None] * np.ones((2, 2))
+        X = lqrpg.exact._lyapunov(M, W)
+        for Mj, Wj, Xj in zip(M, W, X):
+            np.testing.assert_array_equal(Xj, _reference_lyapunov(Mj, Wj))
 
 
 class TestOptimalSolution:

@@ -8,17 +8,23 @@ import pytest
 from lqrpg import (
     ConfigurationError,
     ErrorBudget,
+    SeedSpec,
     config_from_dict,
     detuned_initial_gain,
     emit_bounds_report,
     exact_quantities,
     figure_preset,
     parse_config,
+    run_mb_gauss_newton,
+    run_mb_npg,
+    run_mb_pgd,
     run_monte_carlo,
+    run_noisy_gradient_pgd,
     scalar_s1,
     solve_dare,
 )
 from lqrpg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from conftest import assert_same_trace
 
 BASE = {
     "plant": {"preset": "scalar_s1"},
@@ -156,6 +162,40 @@ class TestMonteCarlo:
             assert filecmp.cmp(p1, p3, shallow=False)
         assert filecmp.cmp(b1.aggregate_path, b3.aggregate_path, shallow=False)
 
+    @pytest.mark.parametrize("name, eta, K0, noise_sigma", [
+        ("mb_pgd", 0.2, -1.2, 0.0), ("mb_npg", 0.2, -1.2, 0.0),
+        ("mb_gauss_newton", 0.3, -1.2, 0.0), ("noisy_pgd", 0.1, 0.0, 2.0),
+    ])
+    def test_lockstep_matches_public_runs(self, tmp_path, name, eta, K0, noise_sigma):
+        """All repetitions of an exact-gradient variant run as one stack:
+        each trace is the public run_* call for its repetition, bit for bit,
+        and the files do not depend on the thread count."""
+        cfg = config_from_dict(base_config(**{
+            "optimizer.name": name, "optimizer.max_iters": 25,
+            "optimizer.noise_sigma": noise_sigma, "schedule.eta": eta,
+            "gain": {"K0": [[K0]]}, "monte_carlo.repetitions": 6,
+        }))
+        b1 = run_monte_carlo(cfg, out_dir=str(tmp_path / "t1"), threads=1)
+        b4 = run_monte_carlo(cfg, out_dir=str(tmp_path / "t4"), threads=4)
+        for p1, p4 in zip(b1.run_paths + [b1.aggregate_path],
+                          b4.run_paths + [b4.aggregate_path]):
+            assert filecmp.cmp(p1, p4, shallow=False)
+        seeds = SeedSpec(cfg.master_seed)
+        for rep, trace in enumerate(b1.traces):
+            if name == "noisy_pgd":
+                single = run_noisy_gradient_pgd(cfg.plant, cfg.K0, eta, noise_sigma,
+                                                cfg.stop, seeds, run_id=rep)
+            elif name == "mb_gauss_newton":
+                single = run_mb_gauss_newton(cfg.plant, cfg.K0, eta, cfg.stop)
+            else:
+                run = run_mb_pgd if name == "mb_pgd" else run_mb_npg
+                single = run(cfg.plant, cfg.K0, cfg.schedule, cfg.stop)
+            assert_same_trace(trace, single)
+        reasons = {t.terminal_reason for t in b1.traces}
+        assert reasons == {"mb_gauss_newton": {"max_iters"},
+                           "noisy_pgd": {"diverged", "max_iters"}}.get(
+                               name, {"diverged"})
+
     def test_repetitions_differ_from_each_other(self, tmp_path):
         data = base_config(**{
             "optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.1,
@@ -285,7 +325,7 @@ class TestCli:
          "gain.q_scale: must be a finite positive number"),
         ("mb-run", {"optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.1,
                     "monte_carlo.master_seed": -1},
-         "monte_carlo.master_seed: must be >= 0"),
+         "monte_carlo.master_seed: must be an integer >= 0"),
         ("validate", {"optimizer.use_vr": "false"},
          "optimizer.use_vr: must be true or false"),
         ("validate", {"optimizer.n_v": "abc"}, "optimizer.n_v: must be an integer >= 1"),
@@ -317,12 +357,26 @@ class TestCli:
         ("validate", {"plant.preset": "paper3x3", "plant.noise_cov_scale": -1,
                       "rollout": {"n": 10, "l": 10, "r": 0.1}},
          "plant.noise_cov_scale: must be a finite number >= 0"),
+        ("validate", {"schedule.eta": "abc"},
+         "schedule.eta: must be a finite number >= 0, got 'abc'"),
+        ("validate", {"schedule.eta": float("inf")},
+         "schedule.eta: must be a finite number >= 0, got inf"),
+        ("validate", {"schedule": {"kind": "adaptive_empirical", "a": 0.1,
+                                   "b": float("nan"), "c": 1}},
+         "schedule.b: must be a finite number >= 0, got nan"),
+        ("validate", {"monte_carlo.repetitions": 2.7},
+         "monte_carlo.repetitions: must be an integer >= 1, got 2.7"),
+        ("validate", {"monte_carlo.repetitions": True},
+         "monte_carlo.repetitions: must be an integer >= 1, got True"),
+        ("validate", {"monte_carlo.master_seed": 1.9},
+         "monte_carlo.master_seed: must be an integer >= 0, got 1.9"),
     ], ids=["q_scale_text", "q_scale_infinite", "negative_seed", "use_vr_text",
             "n_v_text", "n_v_zero", "noise_sigma_text", "noise_sigma_negative",
             "max_iters_fraction", "rollout_n_fraction",
             "grad_tol_text", "rel_subopt_tol_nan", "noise_cov_scale_text",
             "sigma0_scale_text", "sigma0_scale_scalar_s1", "scale_inline_matrices",
-            "plant_without_L0"])
+            "plant_without_L0", "eta_text", "eta_infinite", "b_nan",
+            "repetitions_fraction", "repetitions_bool", "master_seed_fraction"])
     def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
         path = self.write(tmp_path, base_config(**overrides))
         argv = {"validate": ["validate", path],

@@ -30,8 +30,9 @@ from lqrpg import (
     scalar_s1,
     solve_dare,
 )
+from lqrpg.optimizers import _mb_gauss_newton, _mb_npg, _mb_pgd, _noisy_gradient_pgd
 from lqrpg.plants import PlantModel
-from conftest import random_plant, random_stabilizing_gain
+from conftest import assert_same_trace, random_plant, random_stabilizing_gain
 
 S1 = scalar_s1()
 OPT = solve_dare(S1)
@@ -411,3 +412,39 @@ class TestNoisyGradient:
         with pytest.raises(ConfigurationError):
             run_noisy_gradient_pgd(S1, K_ZERO, eta=0.1, noise_sigma=-1.0,
                                    stop=StopRule(max_iters=1), seeds=SeedSpec(0))
+
+
+class TestLockstep:
+    # Starts that converge, stop at the cap, and diverge within one stack.
+    K0S = [np.array([[k]]) for k in (0.0, -0.5, 0.3, -1.2, 0.45, -1.45)] + [OPT.K_star]
+    STOP = StopRule(max_iters=30, rel_subopt_tol=1e-8)
+    SCHED = StepSchedule(kind="fixed", eta=0.1)
+
+    @pytest.mark.parametrize("name", ["mb_pgd", "mb_npg", "mb_gauss_newton",
+                                      "noisy_pgd"])
+    def test_stack_equals_single_runs_bitwise(self, name):
+        K0s, stop, sched = self.K0S, self.STOP, self.SCHED
+        runs = {
+            "mb_pgd": (lambda: _mb_pgd(S1, K0s, sched, stop),
+                       lambda r: run_mb_pgd(S1, K0s[r], sched, stop)),
+            "mb_npg": (lambda: _mb_npg(S1, K0s, sched, stop),
+                       lambda r: run_mb_npg(S1, K0s[r], sched, stop)),
+            "mb_gauss_newton": (lambda: _mb_gauss_newton(S1, K0s, 0.3, stop),
+                                lambda r: run_mb_gauss_newton(S1, K0s[r], 0.3, stop)),
+            "noisy_pgd": (
+                lambda: _noisy_gradient_pgd(S1, K0s, 0.1, 1.0, stop, SeedSpec(3),
+                                            range(10, 10 + len(K0s))),
+                lambda r: run_noisy_gradient_pgd(S1, K0s[r], 0.1, 1.0, stop,
+                                                 SeedSpec(3), run_id=10 + r)),
+        }
+        stacked, single = runs[name]
+        traces = stacked()
+        assert len(traces) == len(K0s)
+        for r, trace in enumerate(traces):
+            assert_same_trace(trace, single(r))
+        if name != "mb_gauss_newton":
+            assert {t.terminal_reason for t in traces} >= {"diverged", "converged"}
+
+    def test_unstable_start_in_stack_raises(self):
+        with pytest.raises(ConfigurationError, match="K0 is not stabilizing"):
+            _mb_pgd(S1, [K_ZERO, np.array([[2.0]])], self.SCHED, self.STOP)
