@@ -399,18 +399,24 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def _run_lockstep(cfg: ExperimentConfig) -> list[ConvergenceTrace]:
     """All repetitions of an exact-gradient variant as one stack of runs;
-    repetition rep's noise substreams are keyed by ``rep``."""
-    K0s = [cfg.K0] * cfg.repetitions
+    repetition rep's noise substreams are keyed by ``rep``. A noise-free
+    variant's repetitions are the same run: it runs once and its trace
+    stands for each repetition."""
+    noisy = cfg.optimizer == "noisy_pgd" and cfg.noise_sigma > 0
+    m = cfg.repetitions if noisy else 1
+    K0s = [cfg.K0] * m
     if cfg.optimizer == "mb_pgd":
-        return _mb_pgd(cfg.plant, K0s, cfg.schedule, cfg.stop)
-    if cfg.optimizer == "mb_npg":
-        return _mb_npg(cfg.plant, K0s, cfg.schedule, cfg.stop)
-    if cfg.optimizer == "mb_gauss_newton":
-        return _mb_gauss_newton(cfg.plant, K0s, cfg.schedule.eta, cfg.stop)
-    return _noisy_gradient_pgd(
-        cfg.plant, K0s, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
-        SeedSpec(cfg.master_seed), range(cfg.repetitions),
-    )
+        traces = _mb_pgd(cfg.plant, K0s, cfg.schedule, cfg.stop)
+    elif cfg.optimizer == "mb_npg":
+        traces = _mb_npg(cfg.plant, K0s, cfg.schedule, cfg.stop)
+    elif cfg.optimizer == "mb_gauss_newton":
+        traces = _mb_gauss_newton(cfg.plant, K0s, cfg.schedule.eta, cfg.stop)
+    else:
+        traces = _noisy_gradient_pgd(
+            cfg.plant, K0s, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
+            SeedSpec(cfg.master_seed), range(m),
+        )
+    return traces * (cfg.repetitions // m)
 
 
 def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:

@@ -448,8 +448,7 @@ def _noisy_gradient_pgd(plant, K0s, eta, noise_sigma, stop, seeds,
     if noise_sigma > 0:
         deltas = np.array([noise_sigma * seeds.draw(
             run_id, range(stop.max_iters), Purpose.PERTURBATION,
-            lambda g: g.standard_normal((plant.n_u, plant.n_x)))
-            for run_id in run_ids])
+            (plant.n_u, plant.n_x)) for run_id in run_ids])
 
     def step(K, pt, eta_i):
         return K - eta_i * (pt.grad + deltas[pt.run, pt.i])

@@ -176,22 +176,15 @@ class SeedSpec:
                                  "inc": inc},
                        "has_uint32": 0, "uinteger": 0}
 
-    def draw(self, run_id: int, rollout_ids, purpose: Purpose, fn) -> np.ndarray:
-        """``np.array([fn(g) for each rollout id])``, where g generates the
-        id's substream of (run_id, purpose).
-
-        One generator is set to each id's state in turn, so ``fn`` must not
-        keep it; every ``fn(g)`` must have the same shape.
-        """
+    def draw(self, run_id: int, rollout_ids, purpose: Purpose, shape) -> np.ndarray:
+        """Standard normals (len(rollout_ids), *shape): row j is the first
+        normals of id j's substream of (run_id, purpose)."""
+        out = np.empty((len(rollout_ids), *shape))
         g = np.random.Generator(np.random.PCG64(0))
-        out = None
-        for j, state in enumerate(self._states(run_id, rollout_ids, purpose)):
+        for state, row in zip(self._states(run_id, rollout_ids, purpose), out):
             g.bit_generator.state = state
-            x = fn(g)
-            if out is None:
-                out = np.empty((len(rollout_ids), *np.shape(x)), np.result_type(x))
-            out[j] = x
-        return np.array([]) if out is None else out
+            g.standard_normal(out=row)
+        return out
 
     def generator(
         self, run_id: int, rollout_id: int, purpose: Purpose
@@ -312,18 +305,17 @@ def simulate_batch(
     states = np.empty((n, l, plant.n_x))
     states[:, 0, :] = x0s
     overflow = np.full(n, -1, dtype=int)
-    alive = np.ones(n, dtype=bool)
     x = np.array(x0s, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, l):
             x = np.einsum("kij,kj->ki", A_Ks, x) + noises[:, t - 1, :]
-            bad = ~np.all(np.isfinite(x), axis=1) & alive
-            if np.any(bad):
-                overflow[bad] = t
-                alive &= ~bad
-                x[~alive] = 0.0
             states[:, t, :] = x
-            states[~alive, t, :] = 0.0
+    # Every entry of A_K x gets an inf or NaN term from a non-finite entry of
+    # x, so a rollout overflowed iff its last state is not finite.
+    if l > 1:
+        for k in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+            overflow[k] = bad = 1 + np.isfinite(states[k, 1:]).all(axis=1).argmin()
+            states[k, bad:] = 0.0
     return states, overflow
 
 
@@ -377,18 +369,33 @@ class RolloutOracle:
         return self._seeds
 
     def draw_perturbations(self, r: float, run_id: int, rollout_ids) -> np.ndarray:
-        """Sphere perturbations (len(rollout_ids), n_u, n_x), one per id."""
-        U = self._seeds.draw(
-            run_id, rollout_ids, Purpose.PERTURBATION,
-            lambda g: sample_sphere_perturbation(self.n_u, self.n_x, r, g))
-        return U.reshape(len(rollout_ids), self.n_u, self.n_x)
+        """Sphere perturbations (len(rollout_ids), n_u, n_x), one per id, as
+        :func:`sample_sphere_perturbation` draws them from the id's
+        substream."""
+        if not r > 0:
+            raise ConfigurationError(f"exploration radius must be positive, got {r}")
+        G = self._seeds.draw(run_id, rollout_ids, Purpose.PERTURBATION,
+                             (self.n_u, self.n_x))
+        flat = G.reshape(len(G), self.n_u * self.n_x)
+        nrm = np.sqrt(np.vecdot(flat, flat))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U = (r / nrm)[:, None, None] * G
+        # An all-zero fill is redrawn on its own stream, as the sampler does.
+        for j in np.flatnonzero(nrm == 0):
+            g = self._seeds.generator(run_id, rollout_ids[j], Purpose.PERTURBATION)
+            U[j] = sample_sphere_perturbation(self.n_u, self.n_x, r, g)
+        return U
 
     def draw_initial_states(self, run_id: int, rollout_ids) -> np.ndarray:
-        """Bounded initial states (len(rollout_ids), n_x), one per id."""
-        x0s = self._seeds.draw(
-            run_id, rollout_ids, Purpose.INITIAL_STATE,
-            lambda g: _bounded_draw(self._factor_0, self._L0, g, _MAX_REJECTIONS)[0])
-        return x0s.reshape(len(rollout_ids), self.n_x)
+        """Bounded initial states (len(rollout_ids), n_x), one per id, as
+        :func:`sample_initial_state` draws them from the id's substream."""
+        Z = self._seeds.draw(run_id, rollout_ids, Purpose.INITIAL_STATE, (self.n_x,))
+        X = (self._factor_0[None] @ Z[:, :, None])[:, :, 0]
+        # A row past L0 continues its own stream in the rejection loop.
+        for j in np.flatnonzero(~(np.sqrt(np.vecdot(X, X)) <= self._L0)):
+            g = self._seeds.generator(run_id, rollout_ids[j], Purpose.INITIAL_STATE)
+            X[j] = _bounded_draw(self._factor_0, self._L0, g, _MAX_REJECTIONS)[0]
+        return X
 
     def draw_perturbation(self, r: float, run_id: int, rollout_id: int) -> np.ndarray:
         return self.draw_perturbations(r, run_id, [rollout_id])[0]
@@ -430,11 +437,11 @@ class RolloutOracle:
         """Batched rollouts, one noise substream per rollout id."""
         if l < 1:
             raise ConfigurationError(f"l must be >= 1, got {l}")
-        noises = self._seeds.draw(
-            run_id, rollout_ids, purpose,
-            lambda g: g.standard_normal((l - 1, self.n_x)) @ self._factor_w.T)
-        return simulate_batch(self._plant, Ks, x0s, l,
-                              noises.reshape(len(rollout_ids), l - 1, self.n_x))
+        noises = self._seeds.draw(run_id, rollout_ids, purpose, (l - 1, self.n_x))
+        # Colored in place, a chunk at a time: no third state-sized array.
+        for a in range(0, len(noises), _SEED_CHUNK):
+            noises[a:a + _SEED_CHUNK] = noises[a:a + _SEED_CHUNK] @ self._factor_w.T
+        return simulate_batch(self._plant, Ks, x0s, l, noises)
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a batch of states (n, l, n_x) under

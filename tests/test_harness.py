@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import os
 
@@ -23,6 +24,7 @@ from lqrpg import (
     scalar_s1,
     solve_dare,
 )
+from lqrpg import optimizers
 from lqrpg.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from conftest import assert_same_trace
 
@@ -195,6 +197,22 @@ class TestMonteCarlo:
         assert reasons == {"mb_gauss_newton": {"max_iters"},
                            "noisy_pgd": {"diverged", "max_iters"}}.get(
                                name, {"diverged"})
+
+    def test_noise_free_variant_runs_once(self, tmp_path, monkeypatch):
+        """fig1's sigma0.0_eta0.12 runs one stack of one gain per iteration
+        and writes the files that running every repetition gave."""
+        sizes = []
+        stack = optimizers._exact_stack
+        monkeypatch.setattr(optimizers, "_exact_stack",
+                            lambda plant, Ks: sizes.append(len(Ks)) or stack(plant, Ks))
+        var = next(v for v in figure_preset("fig1", repetitions=3).variants
+                   if v.label == "sigma0.0_eta0.12")
+        bundle = run_monte_carlo(var, out_dir=str(tmp_path))
+        assert sizes and set(sizes) == {1}
+        digests = [hashlib.sha256(open(p, "rb").read()).hexdigest()[:16]
+                   for p in bundle.run_paths + [bundle.aggregate_path]]
+        assert digests == ["29e34c985b9c20e1", "0534e0c9089aa343",
+                           "2cd9b021a542e748", "e40ac4d122ee816c"]
 
     def test_repetitions_differ_from_each_other(self, tmp_path):
         data = base_config(**{

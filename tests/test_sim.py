@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from lqrpg import (
 )
 from lqrpg.plants import PlantModel
 from lqrpg.sim import _SEED_CHUNK, _psd_factor, default_initial_state_bound
+from conftest import random_plant
 
 
 def reference_generator(master, run_id, rollout_id, purpose):
@@ -64,9 +68,9 @@ class TestSeeding:
     @settings(max_examples=200, deadline=None)
     def test_draw_matches_seed_sequence_bitwise(self, master, run_id, ids, purpose):
         seeds = SeedSpec(master)
-        batch = seeds.draw(run_id, ids, purpose, normals)
+        batch = seeds.draw(run_id, ids, purpose, (2, 3))
         ref = np.array([normals(reference_generator(master, run_id, k, purpose))
-                        for k in ids])
+                        for k in ids]).reshape(len(ids), 2, 3)
         np.testing.assert_array_equal(batch, ref)
         assert batch.shape == ref.shape
         for k in ids[:2]:
@@ -76,8 +80,8 @@ class TestSeeding:
 
     def test_batch_equals_its_split(self):
         seeds = SeedSpec(17)
-        whole = seeds.draw(2, range(1000), Purpose.NOISE, normals)
-        parts = [seeds.draw(2, range(a, b), Purpose.NOISE, normals)
+        whole = seeds.draw(2, range(1000), Purpose.NOISE, (2, 3))
+        parts = [seeds.draw(2, range(a, b), Purpose.NOISE, (2, 3))
                  for a, b in ((0, 1), (1, 333), (333, 1000))]
         np.testing.assert_array_equal(whole, np.concatenate(parts))
         # 1000 ids span several hashing chunks.
@@ -90,9 +94,11 @@ class TestSeeding:
         with pytest.raises(ConfigurationError, match="master_seed must be >= 0"):
             SeedSpec(-1)
         with pytest.raises(ConfigurationError):
-            SeedSpec(0).draw(-1, [0], Purpose.NOISE, normals)
+            SeedSpec(0).draw(-1, [0], Purpose.NOISE, (2, 3))
         with pytest.raises(ConfigurationError):
-            SeedSpec(0).draw(0, [3, -2], Purpose.NOISE, normals)
+            SeedSpec(0).draw(-1, [], Purpose.NOISE, (2, 3))
+        with pytest.raises(ConfigurationError):
+            SeedSpec(0).draw(0, [3, -2], Purpose.NOISE, (2, 3))
 
 
 class TestSpherePerturbation:
@@ -176,6 +182,212 @@ class TestSimulate:
         assert overflow[0] == -1
         assert overflow[1] > 0
         assert np.all(np.isfinite(states))
+
+
+def masked_simulate(plant, Ks, x0s, l, noises):
+    """simulate_batch as a loop that checks and masks every step: the
+    reference for the mask-free loop."""
+    n = Ks.shape[0]
+    A_Ks = plant.A[None, :, :] + np.einsum("ij,kjm->kim", plant.B, Ks)
+    states = np.empty((n, l, plant.n_x))
+    states[:, 0, :] = x0s
+    overflow = np.full(n, -1, dtype=int)
+    alive = np.ones(n, dtype=bool)
+    x = np.array(x0s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, l):
+            x = np.einsum("kij,kj->ki", A_Ks, x) + noises[:, t - 1, :]
+            bad = ~np.all(np.isfinite(x), axis=1) & alive
+            if np.any(bad):
+                overflow[bad] = t
+                alive &= ~bad
+                x[~alive] = 0.0
+            states[:, t, :] = x
+            states[~alive, t, :] = 0.0
+    return states, overflow
+
+
+class TestSimulateBatch:
+    @given(st.integers(0, 2**16),
+           st.lists(st.sampled_from(["finite", "1e3", "1e150", "inf", "nan"]),
+                    min_size=1, max_size=6),
+           st.integers(1, 120))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_masked_loop_bitwise(self, seed, kinds, l):
+        rng = np.random.default_rng(seed)
+        plant = random_plant(rng)
+        shape = (plant.n_u, plant.n_x)
+        Ks = solve_dare(plant).K_star + 0.05 * rng.normal(size=(len(kinds), *shape))
+        for K, kind in zip(Ks, kinds):
+            if kind in ("1e3", "1e150"):
+                K[:] = float(kind) * rng.normal(size=shape)
+            elif kind != "finite":
+                K[rng.integers(plant.n_u), rng.integers(plant.n_x)] = (
+                    float(kind) * rng.choice([-1.0, 1.0]))
+        x0s = rng.normal(size=(len(kinds), plant.n_x))
+        noises = rng.normal(size=(len(kinds), l - 1, plant.n_x))
+        ref_states, ref_overflow = masked_simulate(plant, Ks, x0s, l, noises)
+        states, overflow = simulate_batch(plant, Ks, x0s, l, noises)
+        assert states.tobytes() == ref_states.tobytes()
+        np.testing.assert_array_equal(overflow, ref_overflow)
+        for kind, step in zip(kinds, overflow):
+            if kind in ("inf", "nan") and l > 1:
+                assert step == 1
+
+    def test_overflow_found_late(self):
+        # A gain of ~1e3 overflows only after ~100 steps.
+        p = scalar_s1()
+        Ks = np.array([[[-0.5]], [[1e3]], [[-1e3]]])
+        x0s = np.ones((3, 1))
+        noises = np.random.default_rng(0).normal(size=(3, 299, 1))
+        ref_states, ref_overflow = masked_simulate(p, Ks, x0s, 300, noises)
+        states, overflow = simulate_batch(p, Ks, x0s, 300, noises)
+        assert states.tobytes() == ref_states.tobytes()
+        np.testing.assert_array_equal(overflow, ref_overflow)
+        assert overflow[0] == -1 and 90 < overflow[1] < 299 and 90 < overflow[2] < 299
+
+
+def ids_lists():
+    """Lists of substream ids, ids of 2 or more words included."""
+    return st.lists(key_words(0), max_size=6)
+
+
+def random_oracle(seed, master):
+    """An oracle on a random plant with non-diagonal Sigma_0 and Sigma_w."""
+    plant = random_plant(np.random.default_rng(seed))
+    return plant, RolloutOracle(plant, SeedSpec(master))
+
+
+class TestBatchedDraws:
+    @given(st.integers(0, 2**16), key_words(0), key_words(0), ids_lists(),
+           st.floats(1e-3, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_perturbations_bitwise(self, seed, master, run_id, ids, r):
+        plant, oracle = random_oracle(seed, master)
+        U = oracle.draw_perturbations(r, run_id, ids)
+        assert U.shape == (len(ids), plant.n_u, plant.n_x)
+        for j, k in enumerate(ids):
+            ref = sample_sphere_perturbation(
+                plant.n_u, plant.n_x, r,
+                reference_generator(master, run_id, k, Purpose.PERTURBATION))
+            np.testing.assert_array_equal(U[j], ref)
+            np.testing.assert_array_equal(U[j], oracle.draw_perturbation(r, run_id, k))
+
+    @given(st.integers(0, 2**16), key_words(0), key_words(0), ids_lists(),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_initial_states_bitwise(self, seed, master, run_id, ids, paper):
+        # Most rows are rejected: paper3x3 at sigma0_scale=2 accepts ~23% of
+        # draws under L0=1.5; a random plant at L0 = sqrt(Tr Sigma_0) ~65%.
+        if paper:
+            plant, L0 = paper3x3(sigma0_scale=2.0), 1.5
+        else:
+            plant = random_plant(np.random.default_rng(seed))
+            L0 = np.sqrt(np.trace(plant.Sigma_0))
+        oracle = RolloutOracle(plant, SeedSpec(master), L0=L0)
+        x0s = oracle.draw_initial_states(run_id, ids)
+        assert x0s.shape == (len(ids), plant.n_x)
+        for j, k in enumerate(ids):
+            ref, _ = sample_initial_state(
+                plant.Sigma_0, L0,
+                reference_generator(master, run_id, k, Purpose.INITIAL_STATE))
+            np.testing.assert_array_equal(x0s[j], ref)
+            np.testing.assert_array_equal(x0s[j], oracle.draw_initial_state(run_id, k))
+
+    @given(st.integers(0, 2**16), key_words(0), key_words(0), ids_lists(),
+           st.integers(1, 6), st.sampled_from(Purpose))
+    @settings(max_examples=60, deadline=None)
+    def test_noises_bitwise(self, seed, master, run_id, ids, l, purpose):
+        plant, oracle = random_oracle(seed, master)
+        Ks = np.zeros((len(ids), plant.n_u, plant.n_x))
+        x0s = np.zeros((len(ids), plant.n_x))
+        states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, purpose)
+        assert states.shape == (len(ids), l, plant.n_x)
+        assert np.all(overflow == -1)
+        factor_w = _psd_factor(plant.Sigma_w)
+        for j, k in enumerate(ids):
+            g = reference_generator(master, run_id, k, purpose)
+            noise = g.standard_normal((l - 1, plant.n_x)) @ factor_w.T
+            ref, _ = simulate_batch(plant, Ks[:1], x0s[:1], l, noise[None])
+            np.testing.assert_array_equal(states[j], ref[0])
+
+    def test_noises_across_chunks(self):
+        plant = random_plant(np.random.default_rng(3), 3, 2)
+        oracle = RolloutOracle(plant, SeedSpec(11))
+        n, l = 2 * _SEED_CHUNK + 37, 8
+        K = solve_dare(plant).K_star
+        x0s = oracle.draw_initial_states(1, range(n))
+        states, _ = oracle.rollout_batch(np.broadcast_to(K, (n, *K.shape)), x0s, l,
+                                         1, range(n))
+        factor_w = _psd_factor(plant.Sigma_w)
+        noises = np.array([
+            reference_generator(11, 1, k, Purpose.NOISE).standard_normal(
+                (l - 1, plant.n_x)) @ factor_w.T for k in range(n)])
+        ref, _ = simulate_batch(plant, np.broadcast_to(K, (n, *K.shape)), x0s, l, noises)
+        np.testing.assert_array_equal(states, ref)
+
+    def test_empty_batches(self):
+        plant = paper3x3()
+        oracle = RolloutOracle(plant, SeedSpec(0))
+        assert oracle.draw_perturbations(0.1, 0, []).shape == (0, 3, 3)
+        assert oracle.draw_initial_states(0, []).shape == (0, 3)
+        states, overflow = oracle.rollout_batch(
+            np.zeros((0, 3, 3)), np.zeros((0, 3)), 5, 0, [])
+        assert states.shape == (0, 5, 3) and overflow.shape == (0,)
+
+    def test_zero_norm_perturbation_redrawn_on_its_stream(self, monkeypatch):
+        """A zero-norm row is redrawn alone by the per-id sampler on its own
+        stream; the other rows keep the batch draw."""
+        draw, generator = SeedSpec.draw, SeedSpec.generator
+        redrawn = []
+
+        def zero_row(self, run_id, ids, purpose, shape):
+            out = draw(self, run_id, ids, purpose, shape)
+            out[1] = 0.0
+            return out
+
+        def spy(self, run_id, rollout_id, purpose):
+            redrawn.append((run_id, rollout_id, purpose))
+            return generator(self, run_id, rollout_id, purpose)
+
+        monkeypatch.setattr(SeedSpec, "draw", zero_row)
+        monkeypatch.setattr(SeedSpec, "generator", spy)
+        plant = paper3x3()
+        oracle = RolloutOracle(plant, SeedSpec(3))
+        ids = [7, 2**40, 9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            U = oracle.draw_perturbations(0.2, 4, ids)
+        assert redrawn == [(4, 2**40, Purpose.PERTURBATION)]
+        for j, k in enumerate(ids):
+            ref = sample_sphere_perturbation(
+                plant.n_u, plant.n_x, 0.2,
+                reference_generator(3, 4, k, Purpose.PERTURBATION))
+            np.testing.assert_array_equal(U[j], ref)
+
+    def test_rejects_nonpositive_radius(self):
+        oracle = RolloutOracle(paper3x3(), SeedSpec(0))
+        with pytest.raises(ConfigurationError):
+            oracle.draw_perturbations(0.0, 0, [0])
+
+    def test_rollout_batch_peak_memory(self):
+        """One batch holds the noises and the states, no third state-sized
+        array: vr_estimate's baseline batches hold 12,000 rollouts."""
+        plant = paper3x3()
+        oracle = RolloutOracle(plant, SeedSpec(0))
+        n, l = 2000, 100
+        K = solve_dare(plant).K_star
+        Ks = np.broadcast_to(K, (n, *K.shape))
+        x0s = np.zeros((n, plant.n_x))
+        # Warm up, so that lazy imports do not count.
+        oracle.rollout_batch(Ks[:2], x0s[:2], l, 0, range(2))
+        tracemalloc.start()
+        try:
+            states, _ = oracle.rollout_batch(Ks, x0s, l, 0, range(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * l * plant.n_x * 8
 
 
 class TestEmpirical:
