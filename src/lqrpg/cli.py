@@ -46,30 +46,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
-                        help="path to a JSON experiment config")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master seed override")
-        sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--repetitions", type=int, default=None,
-                        help="Monte Carlo repetition override")
-        sp.add_argument("--threads", default="1",
-                        help="worker threads for model-free repetitions (int or 'auto')")
-        sp.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="artifact format override")
+    flags = {
+        "--seed": dict(type=int, default=None, help="master seed override"),
+        "--out": dict(default=None, help="output directory override"),
+        "--repetitions": dict(type=int, default=None,
+                              help="Monte Carlo repetition override"),
+        "--threads": dict(default="1", help="worker threads for model-free "
+                                            "repetitions (int or 'auto')"),
+        "--format": dict(choices=("csv", "json"), default=None,
+                         help="artifact format override"),
+    }
 
-    common(sub.add_parser("exact", help="print exact closed-loop quantities "
-                                        "and the optimal solution"))
-    common(sub.add_parser("mb-run", help="run a model-based optimizer"))
-    common(sub.add_parser("mf-run", help="run a model-free optimizer"))
-    common(sub.add_parser("estimate", help="one-shot gradient/covariance "
-                                           "estimate with error vs exact"))
-    bounds = sub.add_parser("bounds", help="print the certificate report at "
-                                           "ErrorBudget.even_split(0.4, 0.3)")
-    common(bounds)
-    bounds.add_argument("--cost", type=float, default=None,
-                        help="cost level c (default: cost of the initial gain)")
+    def command(name, help, *names):
+        """A subcommand that reads ``--config`` and the flags ``names``."""
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", required=True,
+                        help="path to a JSON experiment config")
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
+        return sp
+
+    command("exact", "print exact closed-loop quantities and the optimal solution",
+            "--format")
+    command("mb-run", "run a model-based optimizer", *flags)
+    command("mf-run", "run a model-free optimizer", *flags)
+    command("estimate", "one-shot gradient/covariance estimate with error vs exact",
+            "--seed")
+    command("bounds", "print the certificate report at "
+                      "ErrorBudget.even_split(0.4, 0.3)", "--format").add_argument(
+        "--cost", type=float, default=None,
+        help="cost level c (default: cost of the initial gain)")
 
     fig = sub.add_parser("figure", help="run a figure preset")
     fig.add_argument("name", choices=("fig1", "fig2", "fig3", "fig4"))
@@ -77,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", default="out")
     fig.add_argument("--repetitions", type=int, default=None)
     fig.add_argument("--threads", default="1")
-    fig.add_argument("--format", choices=("csv", "json"), default=None)
 
     val = sub.add_parser("validate", help="validate a config file")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -87,10 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     """Read the config file, apply the command-line overrides, validate once.
     A section that is not an object is left for the validation to report."""
-    data = _load_json(args.config)
+    data, given = _load_json(args.config), vars(args)
     overrides = {
-        "monte_carlo": {"master_seed": args.seed, "repetitions": args.repetitions},
-        "output": {"dir": args.out, "format": args.format},
+        "monte_carlo": {"master_seed": given.get("seed"),
+                        "repetitions": given.get("repetitions")},
+        "output": {"dir": given.get("out"), "format": given.get("format")},
     }
     if isinstance(data, dict):
         for section, values in overrides.items():
@@ -115,7 +121,7 @@ def _cmd_exact(args) -> int:
         "K_star": opt.K_star, "P_star": opt.P_star,
         "Sigma_star": opt.Sigma_star, "C_star": opt.C_star,
     }
-    if (args.format or cfg.out_format) == "json":
+    if cfg.out_format == "json":
         print(json.dumps(_json_safe(payload), indent=2))
     else:
         for key, val in payload.items():
@@ -137,7 +143,7 @@ def _cmd_run(args, kind: str) -> int:
             f"optimizer {cfg.optimizer!r} is not valid for {kind}-run "
             f"(expected one of {wanted})"
         )
-    bundle = run_monte_carlo(cfg, out_dir=args.out, threads=_threads(args))
+    bundle = run_monte_carlo(cfg, threads=_threads(args))
     print(f"wrote {len(bundle.run_paths)} run file(s) to {bundle.out_dir}")
     if any(t.terminal_reason == "diverged" for t in bundle.traces):
         print("warning: at least one run diverged (recorded in traces)")
@@ -178,7 +184,7 @@ def _cmd_bounds(args) -> int:
     cost = args.cost
     if cost is None:
         cost = exact_quantities(cfg.plant, cfg.K0).cost
-    fmt = args.format or cfg.out_format
+    fmt = cfg.out_format
     report = emit_bounds_report(cfg.plant, cost, ErrorBudget.even_split(0.4, 0.3),
                                 fmt="json" if fmt == "json" else "text")
     if fmt == "json":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import os
@@ -42,7 +43,8 @@ from .optimizers import (
     run_mf_npg,
     run_mf_pgd,
 )
-from .plants import PlantModel, paper3x3, scalar_s1
+from . import plants as _plants
+from .plants import PlantModel
 from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
 
 __all__ = [
@@ -171,49 +173,57 @@ def _parse_number(value, loc, v, *, positive=True, integer=False):
     return None
 
 
-def _parse_plant(data, v) -> PlantModel | None:
-    if not isinstance(data, dict):
-        v.add("plant", "must be an object")
+def _section(data, name, known, v, default=None, msg="must be an object"):
+    """Section ``name`` of the config root, ``default`` when it is absent,
+    after a located violation for each key outside ``known``; None, after
+    the violation ``msg``, when it is not an object."""
+    sec = data.get(name, default)
+    if not isinstance(sec, dict):
+        v.add(name, msg)
         return None
-    known = {"preset", "noise_cov_scale", "sigma0_scale",
-             "A", "B", "Q", "R", "Sigma_w", "Sigma_0"}
-    for k in data:
+    for k in sec:
         if k not in known:
-            v.add(f"plant.{k}", "unknown key")
+            v.add(f"{name}.{k}", "unknown key")
+    return sec
+
+
+# Each plant preset of lqrpg.plants and the config scale keys it takes,
+# with the constructor keyword of each.
+_PLANT_PRESETS = {
+    "paper3x3": {"noise_cov_scale": "noise_scale", "sigma0_scale": "sigma0_scale"},
+    "scalar_s1": {"noise_cov_scale": "noise_scale"},
+}
+_MATRICES = ("A", "B", "Q", "R", "Sigma_w", "Sigma_0")
+
+
+def _parse_plant(data, v) -> PlantModel | None:
+    data = _section(data, "plant", {"preset", "noise_cov_scale", "sigma0_scale",
+                                    *_MATRICES}, v, {"preset": "scalar_s1"})
+    if data is None:
+        return None
     preset = data.get("preset")
     scales, bad = {}, False
     for k in ("noise_cov_scale", "sigma0_scale"):
         if k in data:
             # Zero scales are legal: they give noise-free plants.
             scales[k] = _parse_number(data[k], f"plant.{k}", v, positive=False)
-            unused = preset is None or (preset == "scalar_s1" and k == "sigma0_scale")
+            # An unknown preset is reported by itself below.
+            unused = preset is None or k not in _PLANT_PRESETS.get(preset, (k,))
             if unused:
                 v.add(f"plant.{k}", f"not used by preset {preset!r}" if preset
                       else "only used with a preset")
             bad = bad or unused or scales[k] is None
     try:
         if preset is not None:
-            if bad and preset in ("paper3x3", "scalar_s1"):
-                return None
-            if preset == "paper3x3":
-                plant = paper3x3(
-                    noise_scale=scales.get("noise_cov_scale", 1.0),
-                    sigma0_scale=scales.get("sigma0_scale", 1.0),
-                )
-            elif preset == "scalar_s1":
-                plant = scalar_s1()
-                if "noise_cov_scale" in scales:
-                    plant = PlantModel(
-                        A=plant.A, B=plant.B, Q=plant.Q, R=plant.R,
-                        Sigma_w=scales["noise_cov_scale"] * np.eye(1),
-                        Sigma_0=plant.Sigma_0,
-                    )
-            else:
+            if preset not in _PLANT_PRESETS:
                 v.add("plant.preset", f"unknown preset {preset!r}")
                 return None
-            return plant
+            # Through the module, so that a rebound constructor is called.
+            keywords = _PLANT_PRESETS[preset]
+            return None if bad else getattr(_plants, preset)(
+                **{keywords[k]: x for k, x in scales.items()})
         mats = {}
-        for name in ("A", "B", "Q", "R", "Sigma_w", "Sigma_0"):
+        for name in _MATRICES:
             if name not in data:
                 v.add(f"plant.{name}", "missing (required without a preset)")
                 return None
@@ -236,71 +246,53 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if k not in _TOP_KEYS:
             v.add(k, "unknown key")
 
-    plant = _parse_plant(data.get("plant", {"preset": "scalar_s1"}), v)
+    plant = _parse_plant(data, v)
 
-    opt_data = data.get("optimizer")
+    opt = _section(data, "optimizer", {"name", "max_iters", "rel_subopt_tol", "grad_tol",
+                                       "eta", "noise_sigma", "use_vr", "n_v"},
+                   v, msg="must be an object with a 'name'")
     name, stop = None, StopRule()
     use_vr, n_v, noise_sigma = False, 1, 0.0
-    if not isinstance(opt_data, dict):
-        v.add("optimizer", "must be an object with a 'name'")
-    else:
-        known = {"name", "max_iters", "rel_subopt_tol", "grad_tol", "eta",
-                 "noise_sigma", "use_vr", "n_v"}
-        for k in opt_data:
-            if k not in known:
-                v.add(f"optimizer.{k}", "unknown key")
-        name = opt_data.get("name")
+    if opt is not None:
+        name = opt.get("name")
         if name not in _OPTIMIZERS:
             v.add("optimizer.name", f"must be one of {_OPTIMIZERS}, got {name!r}")
-        use_vr = opt_data.get("use_vr", False)
+        use_vr = opt.get("use_vr", False)
         if not isinstance(use_vr, bool):
             v.add("optimizer.use_vr", f"must be true or false, got {use_vr!r}")
-        n_v = _parse_number(opt_data.get("n_v", 1), "optimizer.n_v", v, integer=True)
-        noise_sigma = _parse_number(opt_data.get("noise_sigma", 0.0),
+        n_v = _parse_number(opt.get("n_v", 1), "optimizer.n_v", v, integer=True)
+        noise_sigma = _parse_number(opt.get("noise_sigma", 0.0),
                                     "optimizer.noise_sigma", v, positive=False)
-        max_iters = _parse_number(opt_data.get("max_iters", 100), "optimizer.max_iters",
+        max_iters = _parse_number(opt.get("max_iters", 100), "optimizer.max_iters",
                                   v, integer=True)
-        tols = {k: None if opt_data.get(k) is None else
-                _parse_number(opt_data[k], f"optimizer.{k}", v, positive=False)
+        tols = {k: None if opt.get(k) is None else
+                _parse_number(opt[k], f"optimizer.{k}", v, positive=False)
                 for k in ("rel_subopt_tol", "grad_tol")}
         if max_iters is not None:
             stop = StopRule(max_iters=max_iters, **tols)
 
-    eta = opt_data.get("eta", 0.01) if isinstance(opt_data, dict) else 0.01
-    sched_data = data.get("schedule", {"kind": "fixed", "eta": eta})
+    sched = _section(data, "schedule", {"kind", "eta", "a", "b", "c"}, v,
+                     {"kind": "fixed", "eta": (opt or {}).get("eta", 0.01)})
     schedule = None
-    try:
-        if not isinstance(sched_data, dict):
-            raise ConfigurationError("must be an object")
-        params, bad = {}, False
-        for k, val in sched_data.items():
-            if k in ("eta", "a", "b", "c"):
-                # Signs and presence are the schedule kind's to check.
-                params[k] = _parse_number(val, f"schedule.{k}", v, positive=False)
-                bad = bad or params[k] is None
-            elif k == "kind":
-                params[k] = val
-            else:
-                v.add(f"schedule.{k}", "unknown key")
-        if not bad:
-            schedule = StepSchedule(**params)
-    except (ConfigurationError, TypeError) as exc:
-        v.add("schedule", str(exc))
+    if sched is not None:
+        # Signs and presence are the schedule kind's to check.
+        params = {k: _parse_number(val, f"schedule.{k}", v, positive=False)
+                  for k, val in sched.items() if k in ("eta", "a", "b", "c")}
+        try:
+            if None not in params.values():
+                schedule = StepSchedule(kind=sched.get("kind", "fixed"), **params)
+        except ConfigurationError as exc:
+            v.add("schedule", str(exc))
 
     rollout = None
-    roll_data = data.get("rollout")
-    if roll_data is None and name in ("mf_pgd", "mf_npg"):
-        v.add("rollout", "model-free runs need rollout parameters {n, l, r, L0}")
-    elif roll_data is not None and not isinstance(roll_data, dict):
-        v.add("rollout", "must be an object")
-    elif roll_data is not None:
-        for k in roll_data:
-            if k not in {"n", "l", "r", "L0"}:
-                v.add(f"rollout.{k}", "unknown key")
-        params = {k: _parse_number(roll_data.get(k), f"rollout.{k}", v, integer=k != "r")
+    if data.get("rollout") is None:
+        if name in ("mf_pgd", "mf_npg"):
+            v.add("rollout", "model-free runs need rollout parameters {n, l, r, L0}")
+    elif (roll := _section(data, "rollout", {"n", "l", "r", "L0"}, v)) is not None:
+        params = {k: _parse_number(roll.get(k), f"rollout.{k}", v, integer=k != "r")
                   for k in ("n", "l", "r")}
-        if "L0" in roll_data:
-            params["L0"] = _parse_number(roll_data["L0"], "rollout.L0", v)
+        if "L0" in roll:
+            params["L0"] = _parse_number(roll["L0"], "rollout.L0", v)
         elif plant is not None:
             params["L0"] = float(default_initial_state_bound(plant.Sigma_0))
         # Without a plant there is no default L0; the plant's violation is reported.
@@ -308,57 +300,53 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             rollout = RolloutConfig(**params)
 
     K0 = None
-    gain_data = data.get("gain", {"preset": "detuned_lqr"})
-    q_scale = 50.0
-    if isinstance(gain_data, dict) and "q_scale" in gain_data:
-        q_scale = _parse_number(gain_data["q_scale"], "gain.q_scale", v)
-    try:
-        if not (isinstance(gain_data, dict) and ("preset" in gain_data or "K0" in gain_data)):
-            v.add("gain", "must give 'preset' or 'K0'")
-        elif "preset" not in gain_data:
-            # Parsed without a valid plant too, so its violations are reported.
-            K0 = _parse_matrix(gain_data["K0"], "gain.K0", v)
-            if K0 is not None and plant is not None:
-                K0 = plant.check_gain(K0)
-        elif plant is not None:
-            preset = gain_data["preset"]
-            if preset == "detuned_lqr":
-                if q_scale is not None:
-                    K0 = detuned_initial_gain(plant, q_scale=q_scale)
-            elif preset == "zero":
-                K0 = np.zeros((plant.n_u, plant.n_x))
-            elif preset == "optimal":
-                K0 = solve_dare(plant).K_star
-            else:
+    gain = _section(data, "gain", {"preset", "K0", "q_scale"}, v,
+                    {"preset": "detuned_lqr"}, msg="must give 'preset' or 'K0'")
+    if gain is not None:
+        preset = gain.get("preset")
+        q_scale = 50.0
+        if "q_scale" in gain:
+            q_scale = _parse_number(gain["q_scale"], "gain.q_scale", v)
+            if preset != "detuned_lqr":
+                v.add("gain.q_scale", "only used with preset 'detuned_lqr'")
+        try:
+            if "preset" in gain and "K0" in gain:
+                v.add("gain.K0", "not used with a preset")
+            elif "preset" not in gain and "K0" not in gain:
+                v.add("gain", "must give 'preset' or 'K0'")
+            elif "preset" not in gain:
+                # Parsed without a valid plant too, so its violations are reported.
+                K0 = _parse_matrix(gain["K0"], "gain.K0", v)
+                if K0 is not None and plant is not None:
+                    K0 = plant.check_gain(K0)
+            elif preset not in ("detuned_lqr", "zero", "optimal"):
                 v.add("gain.preset", f"unknown preset {preset!r}")
-    except ConfigurationError as exc:
-        v.add("gain", str(exc))
+            elif plant is not None:
+                if preset == "detuned_lqr":
+                    if q_scale is not None:
+                        K0 = detuned_initial_gain(plant, q_scale=q_scale)
+                elif preset == "zero":
+                    K0 = np.zeros((plant.n_u, plant.n_x))
+                else:
+                    K0 = solve_dare(plant).K_star
+        except ConfigurationError as exc:
+            v.add("gain", str(exc))
 
-    mc = data.get("monte_carlo", {})
     repetitions, master_seed = 1, 0
-    if not isinstance(mc, dict):
-        v.add("monte_carlo", "must be an object")
-    else:
-        for k in mc:
-            if k not in {"repetitions", "master_seed"}:
-                v.add(f"monte_carlo.{k}", "unknown key")
+    mc = _section(data, "monte_carlo", {"repetitions", "master_seed"}, v, {})
+    if mc is not None:
         repetitions = _parse_number(mc.get("repetitions", 1),
                                     "monte_carlo.repetitions", v, integer=True)
         master_seed = _parse_number(mc.get("master_seed", 0), "monte_carlo.master_seed",
                                     v, positive=False, integer=True)
 
-    out = data.get("output", {})
     out_dir, out_format = "out", "csv"
-    if isinstance(out, dict):
-        for k in out:
-            if k not in {"dir", "format"}:
-                v.add(f"output.{k}", "unknown key")
+    out = _section(data, "output", {"dir", "format"}, v, {})
+    if out is not None:
         out_dir = str(out.get("dir", "out"))
         out_format = str(out.get("format", "csv"))
         if out_format not in ("csv", "json"):
             v.add("output.format", f"must be csv or json, got {out_format!r}")
-    else:
-        v.add("output", "must be an object")
 
     v.raise_if_any()
 
@@ -499,6 +487,7 @@ def _aggregate_rows(traces: list[ConvergenceTrace]) -> list[list]:
     return rows
 
 
+@functools.cache
 def _git_describe() -> str:
     try:
         out = subprocess.run(

@@ -15,7 +15,7 @@ variant as one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
 # A trace is marked diverged once the cost exceeds this multiple of the
 # initial cost (or a state overflows).
 DIVERGENCE_CEILING_FACTOR = 1e6
+# A model-free run ends after this many consecutive failed iterations.
+MAX_CONSECUTIVE_FAILURES = 5
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,6 @@ class ConvergenceTrace:
     records: list[IterationRecord]
     K_final: np.ndarray
     terminal_reason: str
-    config: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.records:
@@ -237,13 +237,11 @@ class _Estimated:
     records_final = False
     step_c_star = 0.0
 
-    def __init__(self, estimate, rollout_cfg, norms, c_star, max_failures,
-                 estimator, run_offset):
+    def __init__(self, estimate, rollout_cfg, norms, c_star, estimator, run_offset):
         if rollout_cfg is None and estimator is None:
             raise ConfigurationError("model-free runs need a RolloutConfig")
         self.estimate, self.rollout_cfg, self.norms = estimate, rollout_cfg, norms
-        self.c_star, self.max_failures = c_star, max_failures
-        self.estimator, self.run_offset = estimator, run_offset
+        self.c_star, self.estimator, self.run_offset = c_star, estimator, run_offset
 
     def start(self, K0s) -> list[np.ndarray]:
         return [np.asarray(K0, dtype=float) for K0 in K0s]
@@ -279,8 +277,7 @@ class _Run:
 
 
 def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
-              flavor: str, config: dict, seed: int | None = None
-              ) -> list[ConvergenceTrace]:
+              flavor: str) -> list[ConvergenceTrace]:
     """The one optimization loop, over a stack of runs in lockstep.
 
     Run r starts from ``K0s[r]``. Each iteration evaluates the current gains
@@ -290,7 +287,7 @@ def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
     rule, and otherwise moves to ``step(K, point, eta)``. Before a finite
     cost a NaN cost is unobservable, not divergence. A failed evaluation ends
     the run as ``direction.failure`` "diverged"; otherwise it counts, like a
-    step that returns None, toward ``direction.max_failures`` consecutive
+    step that returns None, toward ``MAX_CONSECUTIVE_FAILURES`` consecutive
     failures. Exact directions evaluate once more after the last step to
     record the final gain. One run's end leaves the others running.
     """
@@ -334,14 +331,13 @@ def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
                     continue
                 run.record(pt.cost, rel, 0.0, grad_norm, status="estimate_failed")
             run.failures += 1
-            if run.failures >= direction.max_failures:
+            if run.failures >= MAX_CONSECUTIVE_FAILURES:
                 run.reason = "too_many_failures"
         active = [r for r in active if runs[r].reason is None]
         if not active:
             break
     return [ConvergenceTrace(records=run.records, K_final=np.array(K),
-                             terminal_reason=run.reason or "max_iters",
-                             config=config, seed=seed)
+                             terminal_reason=run.reason or "max_iters")
             for run, K in zip(runs, Ks)]
 
 
@@ -357,10 +353,8 @@ def run_mb_pgd(
 
 
 def _mb_pgd(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _optimize(
-        _Exact(plant, schedule), K0s, schedule, stop, _gradient_step, "pgd",
-        config={"optimizer": "mb_pgd", "schedule": schedule.kind},
-    )
+    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, _gradient_step,
+                     "pgd")
 
 
 def _natural_step(K, pt, eta):
@@ -386,10 +380,8 @@ def run_mb_npg(
 
 
 def _mb_npg(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _optimize(
-        _Exact(plant, schedule), K0s, schedule, stop, _natural_step, "npg",
-        config={"optimizer": "mb_npg", "schedule": schedule.kind},
-    )
+    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, _natural_step,
+                     "npg")
 
 
 def run_mb_gauss_newton(
@@ -412,10 +404,7 @@ def _mb_gauss_newton(plant, K0s, eta, stop) -> list[ConvergenceTrace]:
         return K - 2.0 * eta_i * np.linalg.solve(G, pt.q.E)
 
     schedule = StepSchedule(kind="fixed", eta=eta)
-    return _optimize(
-        _Exact(plant, schedule), K0s, schedule, stop, step, "pgd",
-        config={"optimizer": "mb_gauss_newton", "eta": eta},
-    )
+    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, step, "pgd")
 
 
 def run_noisy_gradient_pgd(
@@ -454,12 +443,7 @@ def _noisy_gradient_pgd(plant, K0s, eta, noise_sigma, stop, seeds,
         return K - eta_i * (pt.grad + deltas[pt.run, pt.i])
 
     schedule = StepSchedule(kind="fixed", eta=eta)
-    return _optimize(
-        _Exact(plant, schedule), K0s, schedule, stop, step, "pgd",
-        config={"optimizer": "noisy_gradient_pgd", "eta": eta,
-                "noise_sigma": noise_sigma},
-        seed=seeds.master_seed,
-    )
+    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, step, "pgd")
 
 
 def run_mf_pgd(
@@ -472,7 +456,6 @@ def run_mf_pgd(
     c_star: float | None = None,
     use_vr: bool = False,
     n_v: int = 1,
-    max_consecutive_failures: int = 5,
     estimator=None,
     run_offset: int = 0,
 ) -> ConvergenceTrace:
@@ -490,12 +473,8 @@ def run_mf_pgd(
             return estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True), None
         return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
 
-    direction = _Estimated(estimate, rollout_cfg, norms, c_star,
-                           max_consecutive_failures, estimator, run_offset)
-    return _optimize(
-        direction, [K0], schedule, stop, _gradient_step, "pgd",
-        config={"optimizer": "mf_pgd", "schedule": schedule.kind, "use_vr": use_vr},
-    )[0]
+    direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
+    return _optimize(direction, [K0], schedule, stop, _gradient_step, "pgd")[0]
 
 
 def run_mf_npg(
@@ -506,8 +485,6 @@ def run_mf_npg(
     rollout_cfg: RolloutConfig | None = None,
     norms: PlantNorms | None = None,
     c_star: float | None = None,
-    cov_floor: float | None = None,
-    max_consecutive_failures: int = 5,
     estimator=None,
     run_offset: int = 0,
 ) -> ConvergenceTrace:
@@ -516,13 +493,11 @@ def run_mf_npg(
     Each iteration estimates the gradient and the average state covariance
     together, from the same ``rollout_cfg`` rollouts, and updates
     K <- K - eta * grad_hat Sigma_hat^{-1}. The covariance is inverted only
-    when its smallest eigenvalue clears ``cov_floor`` (default
-    lam_1(Sigma_w)/2 when norms are supplied, else 1e-8); otherwise the
-    iteration is an estimate failure. ``estimator`` is the testing hook of
-    :func:`run_mf_pgd`.
+    when its smallest eigenvalue clears lam_1(Sigma_w)/2 when norms are
+    supplied, else 1e-8; otherwise the iteration is an estimate failure.
+    ``estimator`` is the testing hook of :func:`run_mf_pgd`.
     """
-    if cov_floor is None:
-        cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
+    cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
 
     def estimate(K, cfg, rid):
         return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
@@ -534,9 +509,5 @@ def run_mf_npg(
             return None
         return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
 
-    direction = _Estimated(estimate, rollout_cfg, norms, c_star,
-                           max_consecutive_failures, estimator, run_offset)
-    return _optimize(
-        direction, [K0], schedule, stop, step, "npg",
-        config={"optimizer": "mf_npg", "schedule": schedule.kind},
-    )[0]
+    direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
+    return _optimize(direction, [K0], schedule, stop, step, "npg")[0]

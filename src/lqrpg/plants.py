@@ -139,11 +139,13 @@ def closed_loop(plant: PlantModel, K: np.ndarray):
     return A_K, stability_report(A_K)
 
 
-def scalar_s1() -> PlantModel:
-    """Scalar benchmark: a=0.5, b=1, q=1, r=1, unit noise and initial variance."""
+def scalar_s1(noise_scale: float = 1.0) -> PlantModel:
+    """Scalar benchmark: a=0.5, b=1, q=1, r=1, noise variance ``noise_scale``
+    and unit initial variance."""
     one = np.array([[1.0]])
     return PlantModel(
-        A=np.array([[0.5]]), B=one, Q=one, R=one, Sigma_w=one, Sigma_0=one
+        A=np.array([[0.5]]), B=one, Q=one, R=one, Sigma_w=noise_scale * one,
+        Sigma_0=one,
     )
 
 

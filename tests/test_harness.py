@@ -85,6 +85,18 @@ class TestConfigValidation:
         assert "plant.A: entries must be finite" in msg
         assert "gain.K0: entries must be finite" in msg
 
+    @pytest.mark.parametrize("section", ["plant", "optimizer", "schedule", "rollout",
+                                         "gain", "monte_carlo", "output"])
+    def test_every_section_is_strict(self, section):
+        data = base_config(rollout={"n": 10, "l": 10, "r": 0.1})
+        for value, expected in ((5, f"{section}: "),
+                                ({**data[section], "bogus": 1},
+                                 f"{section}.bogus: unknown key")):
+            with pytest.raises(ConfigurationError) as exc:
+                config_from_dict({**data, section: value})
+            violations = str(exc.value).splitlines()[1:]
+            assert len(violations) == 1 and violations[0].strip().startswith(expected)
+
     def test_rejects_negative_rollout_radius(self):
         data = base_config(**{"optimizer.name": "mf_pgd"})
         data["rollout"] = {"n": 10, "l": 10, "r": -0.1}
@@ -388,13 +400,19 @@ class TestCli:
          "monte_carlo.repetitions: must be an integer >= 1, got True"),
         ("validate", {"monte_carlo.master_seed": 1.9},
          "monte_carlo.master_seed: must be an integer >= 0, got 1.9"),
+        ("validate", {"gain": {"preset": "zero", "bogus": 1}}, "gain.bogus: unknown key"),
+        ("validate", {"gain": {"preset": "optimal", "K0": [[1.0]]}},
+         "gain.K0: not used with a preset"),
+        ("validate", {"gain": {"preset": "zero", "q_scale": 3.0}},
+         "gain.q_scale: only used with preset 'detuned_lqr'"),
     ], ids=["q_scale_text", "q_scale_infinite", "negative_seed", "use_vr_text",
             "n_v_text", "n_v_zero", "noise_sigma_text", "noise_sigma_negative",
             "max_iters_fraction", "rollout_n_fraction",
             "grad_tol_text", "rel_subopt_tol_nan", "noise_cov_scale_text",
             "sigma0_scale_text", "sigma0_scale_scalar_s1", "scale_inline_matrices",
             "plant_without_L0", "eta_text", "eta_infinite", "b_nan",
-            "repetitions_fraction", "repetitions_bool", "master_seed_fraction"])
+            "repetitions_fraction", "repetitions_bool", "master_seed_fraction",
+            "gain_unknown_key", "gain_preset_and_K0", "q_scale_without_detuned"])
     def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
         path = self.write(tmp_path, base_config(**overrides))
         argv = {"validate": ["validate", path],

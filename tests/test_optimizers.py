@@ -239,10 +239,9 @@ class TestModelFreePgd:
 
         oracle = RolloutOracle(S1, SeedSpec(0))
         trace = run_mf_pgd(oracle, K_ZERO, StepSchedule(kind="fixed", eta=0.1),
-                           StopRule(max_iters=50), estimator=failing,
-                           max_consecutive_failures=3)
+                           StopRule(max_iters=50), estimator=failing)
         assert trace.terminal_reason == "too_many_failures"
-        assert len(trace.records) == 3
+        assert len(trace.records) == 5
         assert all(r.status == "estimate_failed" for r in trace.records)
 
     def test_real_estimates_reduce_cost(self):
@@ -317,8 +316,7 @@ class TestModelFreeNpg:
         stop = StopRule(max_iters=25)
         sched = StepSchedule(kind="fixed", eta=0.15)
         oracle = RolloutOracle(S1, SeedSpec(0))
-        mf = run_mf_npg(oracle, K_ZERO, sched, stop, estimator=exact_stub(S1),
-                        cov_floor=1e-8)
+        mf = run_mf_npg(oracle, K_ZERO, sched, stop, estimator=exact_stub(S1))
         mb = run_mb_npg(S1, K_ZERO, sched, stop)
         np.testing.assert_allclose(mf.K_final, mb.K_final, atol=1e-10)
         np.testing.assert_allclose(
@@ -338,7 +336,7 @@ class TestModelFreeNpg:
         oracle = RolloutOracle(S1, SeedSpec(0))
         trace = run_mf_npg(oracle, K_ZERO, StepSchedule(kind="fixed", eta=0.1),
                            StopRule(max_iters=10), estimator=tiny_cov,
-                           norms=NORMS, max_consecutive_failures=2)
+                           norms=NORMS)
         assert trace.terminal_reason == "too_many_failures"
         np.testing.assert_array_equal(trace.K_final, K_ZERO)
 
