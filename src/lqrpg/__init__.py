@@ -33,6 +33,7 @@ from .estimators import (
     CovarianceEstimate,
     GradientEstimate,
     estimate_baseline,
+    estimate_gradient,
     estimate_gradient_covariance,
     estimate_gradient_vr,
     estimator_diagnostics,

@@ -1,6 +1,6 @@
 """Model-free gradient and covariance estimators.
 
-All three estimators talk to the plant only through a
+The estimators talk to the plant only through a
 :class:`~lqrpg.sim.RolloutOracle`: perturb the gain on the Frobenius sphere,
 roll out, average. Overflowed rollouts mark the whole estimate failed rather
 than being dropped, since dropping them would bias the estimator exactly in
@@ -19,6 +19,7 @@ __all__ = [
     "GradientEstimate",
     "CovarianceEstimate",
     "BaselineEstimate",
+    "estimate_gradient",
     "estimate_gradient_covariance",
     "estimate_baseline",
     "estimate_gradient_vr",
@@ -109,6 +110,27 @@ def _gradient(U, costs, baselines, cfg, keep_terms, meta) -> GradientEstimate:
     )
 
 
+def _plain(oracle, K, cfg, run_id):
+    """The plain estimator's n rollouts of K + U_k, priced: (U, states,
+    costs, first overflowed rollout, meta) as :func:`_rollout_costs` gives."""
+    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
+    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
+    states, costs, bad = _rollout_costs(oracle, np.asarray(K, dtype=float) + U, x0s,
+                                        cfg.l, run_id, range(cfg.n), Purpose.NOISE)
+    meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
+    return U, states, costs, bad, meta
+
+
+def estimate_gradient(oracle: RolloutOracle, K: np.ndarray, cfg: RolloutConfig,
+                      run_id: int = 0, keep_terms: bool = False) -> GradientEstimate:
+    """The gradient estimate of :func:`estimate_gradient_covariance`, bit for
+    bit, without reducing the states to a covariance."""
+    U, _, costs, bad, meta = _plain(oracle, K, cfg, run_id)
+    if bad is not None:
+        return _failed(oracle, bad, meta)[0]
+    return _gradient(U, costs, 0.0, cfg, keep_terms, meta)
+
+
 def estimate_gradient_covariance(
     oracle: RolloutOracle,
     K: np.ndarray,
@@ -124,12 +146,7 @@ def estimate_gradient_covariance(
     empirical state covariance for Sigma. Only K + U_k is rolled out; there
     is no K - U_k rollout.
     """
-    K = np.asarray(K, dtype=float)
-    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
-    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
-    states, costs, bad = _rollout_costs(oracle, K + U, x0s, cfg.l, run_id,
-                                        range(cfg.n), Purpose.NOISE)
-    meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
+    U, states, costs, bad, meta = _plain(oracle, K, cfg, run_id)
     if bad is not None:
         return _failed(oracle, bad, meta)
     with np.errstate(over="ignore", invalid="ignore"):

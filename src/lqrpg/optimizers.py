@@ -22,7 +22,8 @@ import numpy as np
 
 from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
 from .errors import ConfigurationError
-from .estimators import estimate_gradient_covariance, estimate_gradient_vr
+from .estimators import (estimate_gradient, estimate_gradient_covariance,
+                         estimate_gradient_vr)
 from .exact import ClosedLoopQuantities, _exact_stack, _not_stabilizing, solve_dare
 from .plants import PlantModel, smallest_eigenvalue
 from .sim import Purpose, RolloutConfig, RolloutOracle, SeedSpec
@@ -471,7 +472,7 @@ def run_mf_pgd(
     def estimate(K, cfg, rid):
         if use_vr:
             return estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True), None
-        return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
+        return estimate_gradient(oracle, K, cfg, run_id=rid, keep_terms=True), None
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
     return _optimize(direction, [K0], schedule, stop, _gradient_step, "pgd")[0]

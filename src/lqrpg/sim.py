@@ -4,8 +4,9 @@ Every random draw comes from a substream keyed by
 (master_seed, run_id, rollout_id, purpose), so rollouts are bit-reproducible
 no matter how callers parallelize. The substream of a key is the PCG64 stream
 that ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
-purpose))`` seeds, bit for bit; :meth:`SeedSpec.draw` derives those states
-for a whole batch of rollout ids at once. The :class:`RolloutOracle` wraps a
+purpose))`` seeds, bit for bit; :meth:`SeedSpec.draw` hashes the keys of a
+whole batch of rollout ids at once and lets PCG64 seed itself from each
+id's words. The :class:`RolloutOracle` wraps a
 plant behind an interface that never exposes (A, B, Sigma_w), which is the
 model-free contract the estimators rely on: it draws and rolls out whole
 batches and prices them with :func:`empirical_cost`, the one stage-cost
@@ -14,7 +15,7 @@ formula.
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -48,17 +49,17 @@ class Purpose(enum.IntEnum):
     BASELINE = 3
 
 
-# SeedSequence's hash constants and pool size (NumPy's bit_generator.pyx)
-# and PCG64's 128-bit LCG multiplier.
+# SeedSequence's hash constants and pool size (NumPy's bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32 = (1 << 32) - 1
-_M128 = (1 << 128) - 1
-# Rollout ids hashed per array pass; bounds the memory a batch's states take.
+# Rollout ids hashed, and noise rows colored, per array pass.
 _SEED_CHUNK = 256
+# einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
+# that empirical_cost prices per array pass.
+_EINSUM_BUFFER, _COST_CHUNK = 8192, 8
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -73,13 +74,17 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-# The hash works on 1-d uint32 arrays, which wrap silently; NumPy scalars
-# would warn on the same, intended, overflow.
-def _hashmix(value: np.ndarray, hash_const: int, mult: int):
-    """SeedSequence's hashmix of ``value``; returns it and the next constant."""
-    hash_const_next = hash_const * mult & _M32
-    value = (value ^ hash_const) * hash_const_next
-    return value ^ (value >> 16), hash_const_next
+# The hash works on uint32 arrays, which wrap silently; NumPy scalars would
+# warn on the same, intended, overflow.
+def _hashmix(value: np.ndarray, hash_const: int, mult: int, k: int):
+    """SeedSequence's hashmix k times in turn, of row i of ``value`` (which
+    broadcasts to k rows); returns the k results and the next constant."""
+    consts = [hash_const]
+    for _ in range(k):
+        consts.append(consts[-1] * mult & _M32)
+    c = np.array(consts, dtype=np.uint32)[:, None]
+    value = (value ^ c[:-1]) * c[1:]
+    return value ^ (value >> 16), consts[-1]
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,18 +92,33 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def _absorb(pool: list, word: np.ndarray, hash_const: int):
-    """Mix one entropy word into every pool word, as SeedSequence mixes each
-    word past the pool size."""
-    mixed = []
-    for p in pool:
-        h, hash_const = _hashmix(word, hash_const, _MULT_A)
-        mixed.append(_mix(p, h))
-    return mixed, hash_const
+def _absorb(pool: np.ndarray, word: np.ndarray, hash_const: int):
+    """Mix one entropy word into every pool word (rows of ``pool``), as
+    SeedSequence mixes each word past the pool size."""
+    h, hash_const = _hashmix(word, hash_const, _MULT_A, _POOL_SIZE)
+    return _mix(pool, h), hash_const
 
 
-def _word(w: int) -> np.ndarray:
-    return np.array([w], dtype=np.uint32)
+@functools.cache
+def _seed_words():
+    """An ISeedSequence that hands PCG64 its 4 precomputed uint64 seed words;
+    made on first use, so that importing lqrpg does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    @dataclass
+    class SeedWords(ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """A generator whose PCG64 seeds itself from ``words`` (4 uint64), as
+    from SeedSequence's ``generate_state(4, np.uint64)``."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
 
 @dataclass(frozen=True)
@@ -107,92 +127,66 @@ class SeedSpec:
 
     The substream of key (run_id, rollout_id, purpose) is the PCG64 stream
     of ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
-    purpose))``, bit for bit. The SeedSequence hash is computed here: the
-    master seed's share of the pool once per instance, the key words of a
-    batch of ids as uint32 array operations, and the PCG64 seeding step in
-    Python ints; no SeedSequence or generator is built per id.
+    purpose))``, bit for bit. NumPy's SeedSequence mixes the master seed and
+    run id once per batch; the rest of its hash, the rollout and purpose
+    words of every id, runs here as uint32 array operations. Each id's
+    PCG64 then seeds itself from its 4 hashed words in C; no SeedSequence is
+    built per id.
     """
 
     master_seed: int
-    _share: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if operator.index(self.master_seed) < 0:
             raise ConfigurationError(
                 f"master_seed must be >= 0, got {self.master_seed}")
-        # With a spawn key, SeedSequence pads the entropy to the pool size.
-        entropy = _uint32_words(self.master_seed)
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-        hash_const = _INIT_A
-        pool = []
-        for w in entropy[:_POOL_SIZE]:
-            h, hash_const = _hashmix(_word(w), hash_const, _MULT_A)
-            pool.append(h)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    h, hash_const = _hashmix(pool[src], hash_const, _MULT_A)
-                    pool[dst] = _mix(pool[dst], h)
-        for w in entropy[_POOL_SIZE:]:
-            pool, hash_const = _absorb(pool, _word(w), hash_const)
-        object.__setattr__(self, "_share", (pool, hash_const))
 
-    def _states(self, run_id: int, rollout_ids, purpose: Purpose):
-        """PCG64 state of each id's substream, in order, derived
-        ``_SEED_CHUNK`` ids at a time."""
-        key_pool, key_const = self._share
-        for w in _uint32_words(run_id):
-            key_pool, key_const = _absorb(key_pool, _word(w), key_const)
-        tail = [_word(w) for w in _uint32_words(int(purpose))]
-        ids = iter(rollout_ids)
-        while chunk := [operator.index(k) for k in itertools.islice(ids, _SEED_CHUNK)]:
-            if min(chunk) < 0:
-                raise ConfigurationError(f"seed keys must be >= 0, got {min(chunk)}")
+    def _words(self, run_id: int, rollout_ids, purpose: Purpose) -> np.ndarray:
+        """The 4 uint64 seed words of each id's substream, (len(ids), 4),
+        hashed ``_SEED_CHUNK`` ids at a time."""
+        # NumPy's pool after the master seed, padded to the pool size, and the
+        # run id; mixing them took _POOL_SIZE hash-constant steps per word.
+        n_words = max(len(_uint32_words(self.master_seed)), _POOL_SIZE)
+        n_words += len(_uint32_words(run_id))
+        key_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _M32
+        key_pool = np.random.SeedSequence(
+            self.master_seed, spawn_key=(run_id,)).pool[:, None]
+        purpose_word = np.array([purpose], dtype=np.uint32)
+        ids = [operator.index(k) for k in rollout_ids]
+        if ids and min(ids) < 0:
+            raise ConfigurationError(f"seed keys must be >= 0, got {min(ids)}")
+        seeds = np.empty((len(ids), 4), dtype="<u8")
+        for a in range(0, len(ids), _SEED_CHUNK):
+            chunk = ids[a:a + _SEED_CHUNK]
             # An id of w words shifts the purpose word's hash position by w.
             widths = [(k.bit_length() + 31) // 32 or 1 for k in chunk]
-            seeds = [None] * len(chunk)
             for width in set(widths):
-                rows = [j for j, w in enumerate(widths) if w == width]
+                rows = [a + j for j, w in enumerate(widths) if w == width]
                 pool, hash_const = key_pool, key_const
                 for i in range(width):
-                    col = np.array([chunk[j] >> (32 * i) & _M32 for j in rows],
+                    col = np.array([ids[j] >> (32 * i) & _M32 for j in rows],
                                    dtype=np.uint32)
                     pool, hash_const = _absorb(pool, col, hash_const)
-                for w in tail:
-                    pool, hash_const = _absorb(pool, w, hash_const)
+                pool, hash_const = _absorb(pool, purpose_word, hash_const)
                 # generate_state(4, uint64): 8 words cycled from the pool.
-                hash_const, words = _INIT_B, []
-                for i in range(2 * _POOL_SIZE):
-                    h, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _MULT_B)
-                    words.append(h)
-                seed64 = np.stack(words, axis=1).astype("<u4").view("<u8")
-                for j, (s0, s1, i0, i1) in zip(rows, seed64.tolist()):
-                    seeds[j] = (s0 << 64 | s1, i0 << 64 | i1)
-            for initstate, initseq in seeds:
-                # pcg64_set_seed: two LCG steps from state 0.
-                inc = (initseq << 1 | 1) & _M128
-                yield {"bit_generator": "PCG64",
-                       "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _M128,
-                                 "inc": inc},
-                       "has_uint32": 0, "uinteger": 0}
+                words, _ = _hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B,
+                                    2 * _POOL_SIZE)
+                seeds[rows] = np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
+        return seeds
 
     def draw(self, run_id: int, rollout_ids, purpose: Purpose, shape) -> np.ndarray:
         """Standard normals (len(rollout_ids), *shape): row j is the first
         normals of id j's substream of (run_id, purpose)."""
         out = np.empty((len(rollout_ids), *shape))
-        g = np.random.Generator(np.random.PCG64(0))
-        for state, row in zip(self._states(run_id, rollout_ids, purpose), out):
-            g.bit_generator.state = state
-            g.standard_normal(out=row)
+        for words, row in zip(self._words(run_id, rollout_ids, purpose), out):
+            _generator(words).standard_normal(out=row)
         return out
 
     def generator(
         self, run_id: int, rollout_id: int, purpose: Purpose
     ) -> np.random.Generator:
         """A new generator on the substream of one key."""
-        g = np.random.Generator(np.random.PCG64(0))
-        g.bit_generator.state = next(self._states(run_id, [rollout_id], purpose))
-        return g
+        return _generator(self._words(run_id, [rollout_id], purpose)[0])
 
 
 @dataclass(frozen=True)
@@ -324,10 +318,41 @@ def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarr
 
     ``states`` is one trajectory (l, n_x) or a batch (n, l, n_x); ``K`` is
     one gain or one gain per trajectory (n, n_u, n_x). A batch gives costs
-    of shape (n,), each bit-identical to the cost of its trajectory alone.
+    of shape (n,), each bit-identical to the cost of its trajectory alone
+    (but at l = 1 and n_x = 2, where einsum sums one trajectory pairwise).
+
+    The sum is ``einsum("...ti,...ij,...tj->...")``'s, bit for bit. For a
+    C-contiguous batch of n > 1 trajectories of n_x <= 90 states whose
+    products fill more than one buffer, einsum adds a trajectory's products
+    (x_ti (Q_K)_ij) x_tj in (t, i, j) order, from 0 in each block of
+    ``_EINSUM_BUFFER // n_x**2`` time steps, then the blocks in turn. Here
+    chunks of products laid out (terms, n), with the running sum as row 0,
+    are summed down axis 0, which NumPy does row by row: that order, across
+    the batch. einsum prices the rest.
     """
+    l, n_x = states.shape[-2:]
+    blocked = (states.ndim == 3 and len(states) > 1 and states.flags.c_contiguous
+               and n_x**2 <= _EINSUM_BUFFER < states.size * n_x)
+    K = np.asarray(K, dtype=float)
+    if blocked and K.ndim == 3 and K.strides[0] == 0:  # one gain, broadcast
+        K = K[:1]
     Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
-    return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
+    if not blocked:
+        return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / l
+    Q_K = np.moveaxis(Q_K.reshape(-1, n_x, n_x), 0, -1)  # (n_x, n_x, n or 1)
+    block, total = _EINSUM_BUFFER // n_x**2, 0.0
+    buf = np.empty((1 + _COST_CHUNK * n_x**2, len(states)))
+    for a in range(0, l, block):
+        buf[0] = 0.0
+        for c in range(a, min(a + block, l), _COST_CHUNK):
+            S = states[:, c:min(c + _COST_CHUNK, a + block)].transpose(1, 2, 0).copy()
+            m = 1 + len(S) * n_x**2
+            terms = buf[1:m].reshape(len(S), n_x, n_x, -1)
+            np.multiply(S[:, :, None], Q_K, out=terms)
+            terms *= S[:, None]
+            buf[0] = buf[:m].sum(axis=0)
+        total = buf[0] + total
+    return total / l
 
 
 def empirical_covariance(states: np.ndarray) -> np.ndarray:

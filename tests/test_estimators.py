@@ -10,10 +10,12 @@ from lqrpg import (
     RolloutOracle,
     SeedSpec,
     estimate_baseline,
+    estimate_gradient,
     estimate_gradient_covariance,
     estimate_gradient_vr,
     estimator_diagnostics,
     exact_quantities,
+    paper3x3,
     scalar_s1,
 )
 
@@ -78,6 +80,35 @@ class TestGradientCovariance:
         assert g.per_rollout_terms.shape == (12, 1, 1)
         assert g.rollout_costs.shape == (12,)
         np.testing.assert_allclose(g.per_rollout_terms.mean(axis=0), g.value)
+
+
+class TestGradientOnly:
+    """``estimate_gradient`` is the gradient half of
+    ``estimate_gradient_covariance``, byte for byte."""
+
+    @pytest.mark.parametrize("case", [
+        (scalar_s1(), K_HALF, RolloutConfig(n=50, l=30, r=0.1, L0=3.0)),
+        (paper3x3(noise_scale=0.01), np.full((1, 3), -0.2),
+         RolloutConfig(n=300, l=40, r=0.05, L0=3.0)),
+        # Overflowing rollouts: a failed estimate.
+        (scalar_s1(), np.array([[500.0]]), RolloutConfig(n=20, l=300, r=0.1, L0=3.0)),
+        # Finite states whose costs overflow to inf.
+        (scalar_s1(), np.array([[1e100]]), RolloutConfig(n=4, l=3, r=0.1, L0=3.0)),
+    ], ids=["scalar", "paper3x3", "failed", "inf_costs"])
+    @pytest.mark.parametrize("keep_terms", [False, True])
+    def test_same_bytes_as_gradient_covariance(self, case, keep_terms):
+        plant, K, cfg = case
+        oracle = RolloutOracle(plant, SeedSpec(3))
+        ref, _ = estimate_gradient_covariance(oracle, K, cfg, run_id=2,
+                                              keep_terms=keep_terms)
+        g = estimate_gradient(oracle, K, cfg, run_id=2, keep_terms=keep_terms)
+        assert (g.failed, g.failed_rollout) == (ref.failed, ref.failed_rollout)
+        assert g.value.tobytes() == ref.value.tobytes()
+        for name in ("per_rollout_terms", "rollout_costs"):
+            a, b = getattr(g, name), getattr(ref, name)
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
+        assert (g.n_used, g.l_used, g.r_used, g.run_id) == (cfg.n, cfg.l, cfg.r, 2)
 
 
 class TestBaseline:

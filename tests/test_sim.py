@@ -1,3 +1,7 @@
+import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -421,6 +425,67 @@ class TestEmpirical:
         np.testing.assert_array_equal(oracle.stage_cost(states, Ks), each)
         if shared:
             np.testing.assert_array_equal(oracle.stage_cost(states, K), each)
+
+    @staticmethod
+    def einsum_cost(states, Q, R, K):
+        """The reference: one three-operand einsum over Q + K'RK per gain."""
+        Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
+        return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 257])
+    @pytest.mark.parametrize("scale", [1.0, 1e150], ids=["unit", "overflow"])
+    def test_matches_einsum_bitwise(self, n, scale):
+        """Every shape of the grid, with a shared, a broadcast and per-row
+        gains, equals the einsum reference byte for byte, as a batch and in
+        the single-trajectory form; near 1e150 the products overflow to inf
+        and their sums to NaN, under the estimators' errstate."""
+        rng = np.random.default_rng(n)
+        for l, n_x, n_u in itertools.product([1, 2, 7, 8, 9, 100], range(1, 5), [1, 3]):
+            # Spread magnitudes, so that another summation order rounds
+            # differently.
+            states = scale * rng.standard_normal((n, l, n_x)) * np.exp(
+                rng.uniform(-2.0, 2.0, (n, l, n_x)))
+            A = rng.standard_normal((n_x, n_x))
+            Q, R = A @ A.T, np.diag(rng.uniform(0.5, 2.0, n_u))
+            K = rng.standard_normal((n_u, n_x))
+            gains = [K, np.broadcast_to(K, (n, n_u, n_x)),
+                     rng.standard_normal((n, n_u, n_x))]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for Ks in gains:
+                    cost = empirical_cost(states, Q, R, Ks)
+                    assert cost.tobytes() == self.einsum_cost(states, Q, R, Ks).tobytes()
+                    K_rows = np.broadcast_to(Ks, (n, n_u, n_x))
+                    for k in range(min(n, 3)):
+                        one = empirical_cost(states[k], Q, R, K_rows[k])
+                        ref = self.einsum_cost(states[k], Q, R, K_rows[k])
+                        assert one.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_x", [1, 2, 3])
+    def test_einsum_blocks_and_layouts(self, n_x):
+        """Trajectories that span several einsum buffers, alone or in a batch,
+        and batches in layouts that einsum iterates in another order, still
+        match it."""
+        rng = np.random.default_rng(n_x)
+        states = rng.standard_normal((3, 9000, n_x)) * np.exp(
+            rng.uniform(-2.0, 2.0, (3, 9000, n_x)))
+        Q, R = np.eye(n_x), np.eye(1)
+        Ks = rng.standard_normal((3, 1, n_x))
+        for S, K in [(states, Ks), (states[:1], Ks[:1]), (states[:, ::3], Ks),
+                     (np.asfortranarray(states), Ks),
+                     (states.transpose(1, 0, 2).copy().transpose(1, 0, 2), Ks)]:
+            cost = empirical_cost(S, Q, R, K)
+            assert cost.tobytes() == self.einsum_cost(S, Q, R, K).tobytes()
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, lqrpg; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_covariance_by_hand(self):
         states = np.array([[1.0, 0.0], [0.0, 2.0]])
