@@ -61,8 +61,8 @@ class BaselineEstimate:
 
 
 def _rollout_costs(oracle, Ks, x0s, l, run_id, ids, purpose):
-    """Roll out and price one batch: (states, costs (n,), None), or
-    (states, None, index of the first overflowed rollout)."""
+    """Roll out and price one batch: (states (l, n, n_x), costs (n,), None),
+    or (states, None, index of the first overflowed rollout)."""
     states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, purpose)
     if np.any(overflow >= 0):
         return states, None, int(np.argmax(overflow >= 0))
@@ -149,8 +149,9 @@ def estimate_gradient_covariance(
     U, states, costs, bad, meta = _plain(oracle, K, cfg, run_id)
     if bad is not None:
         return _failed(oracle, bad, meta)
+    S = np.ascontiguousarray(states.transpose(1, 0, 2))  # id-major, einsum's order
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.einsum("kti,ktj->ij", states, states) / (cfg.n * cfg.l)
+        cov = np.einsum("kti,ktj->ij", S, S) / (cfg.n * cfg.l)
         cov = 0.5 * (cov + cov.T)
     return (_gradient(U, costs, 0.0, cfg, keep_terms, meta),
             CovarianceEstimate(value=cov, **meta))

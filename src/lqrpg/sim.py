@@ -10,7 +10,7 @@ id's words. The :class:`RolloutOracle` wraps a
 plant behind an interface that never exposes (A, B, Sigma_w), which is the
 model-free contract the estimators rely on: it draws and rolls out whole
 batches and prices them with :func:`empirical_cost`, the one stage-cost
-formula.
+formula. A batch is one time-major buffer (l, n, n_x), of noise, then states.
 """
 from __future__ import annotations
 
@@ -55,7 +55,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _M32 = (1 << 32) - 1
-# Rollout ids hashed, and noise rows colored, per array pass.
+# Rollout ids hashed per array pass; a batch's noise is colored into its buffer
+# by as many ids per pass, or by as many as fill 2**17 normals if fewer (>= 1).
 _SEED_CHUNK = 256
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
 # that empirical_cost prices per array pass.
@@ -283,33 +284,35 @@ def simulate_batch(
     x0s: np.ndarray,
     l: int,
     noises: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rollouts: one closed loop per row of ``Ks``.
+    """Vectorized rollouts: one closed loop per row of ``Ks``, time-major.
 
-    ``noises`` has shape (n, l-1, n_x), each row from its rollout's own
+    ``noises`` has shape (l-1, n, n_x), column k from rollout k's own
     substream (:meth:`RolloutOracle.rollout_batch`); a rollout's states do
-    not depend on the rest of its batch, bit for bit.
-    Returns (states (n, l, n_x), overflow_step (n,)) where overflow_step is
+    not depend on the rest of its batch, bit for bit. The states go to
+    ``out`` (l, n, n_x) if given; ``noises`` may be ``out[1:]``, stepped in
+    place. Returns (states (l, n, n_x), overflow_step (n,)) where overflow_step is
     -1 for finite rollouts and the first bad step index otherwise; states of
     an overflowed rollout are zeroed from that step on.
     """
     Ks = np.asarray(Ks, dtype=float)
     n = Ks.shape[0]
     A_Ks = plant.A[None, :, :] + np.einsum("ij,kjm->kim", plant.B, Ks)
-    states = np.empty((n, l, plant.n_x))
-    states[:, 0, :] = x0s
+    states = np.empty((l, n, plant.n_x)) if out is None else out
+    states[0], states[1:] = x0s, noises  # NumPy copies no view onto itself
     overflow = np.full(n, -1, dtype=int)
-    x = np.array(x0s, dtype=float)
+    Ax = np.empty((n, plant.n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, l):
-            x = np.einsum("kij,kj->ki", A_Ks, x) + noises[:, t - 1, :]
-            states[:, t, :] = x
+            np.einsum("kij,kj->ki", A_Ks, states[t - 1], out=Ax)
+            np.add(Ax, states[t], out=states[t])
     # Every entry of A_K x gets an inf or NaN term from a non-finite entry of
     # x, so a rollout overflowed iff its last state is not finite.
     if l > 1:
-        for k in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-            overflow[k] = bad = 1 + np.isfinite(states[k, 1:]).all(axis=1).argmin()
-            states[k, bad:] = 0.0
+        for k in np.flatnonzero(~np.isfinite(states[-1]).all(axis=1)):
+            overflow[k] = bad = 1 + np.isfinite(states[1:, k]).all(axis=1).argmin()
+            states[bad:, k] = 0.0
     return states, overflow
 
 
@@ -325,27 +328,38 @@ def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarr
     C-contiguous batch of n > 1 trajectories of n_x <= 90 states whose
     products fill more than one buffer, einsum adds a trajectory's products
     (x_ti (Q_K)_ij) x_tj in (t, i, j) order, from 0 in each block of
-    ``_EINSUM_BUFFER // n_x**2`` time steps, then the blocks in turn. Here
-    chunks of products laid out (terms, n), with the running sum as row 0,
-    are summed down axis 0, which NumPy does row by row: that order, across
-    the batch. einsum prices the rest.
+    ``_EINSUM_BUFFER // n_x**2`` time steps, then the blocks in turn;
+    :func:`_batch_cost` prices such a batch in that order, across the batch.
+    einsum prices the rest.
     """
-    l, n_x = states.shape[-2:]
-    blocked = (states.ndim == 3 and len(states) > 1 and states.flags.c_contiguous
-               and n_x**2 <= _EINSUM_BUFFER < states.size * n_x)
+    if states.ndim == 3 and states.flags.c_contiguous:
+        return _batch_cost(states.transpose(1, 0, 2), Q, R, K)
+    K = np.asarray(K, dtype=float)
+    Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
+    return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
+
+
+def _batch_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray):
+    """:func:`empirical_cost` of a time-major batch (l, n, n_x)'s id-major
+    copy, bit for bit. Blocked, chunks of products laid out (terms, n), with
+    the running sum as row 0, are summed down axis 0, which NumPy does row
+    by row: einsum's order, across the batch."""
+    l, n, n_x = states.shape
+    blocked = n > 1 and n_x**2 <= _EINSUM_BUFFER < states.size * n_x
     K = np.asarray(K, dtype=float)
     if blocked and K.ndim == 3 and K.strides[0] == 0:  # one gain, broadcast
         K = K[:1]
     Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
     if not blocked:
-        return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / l
+        S = np.ascontiguousarray(states.transpose(1, 0, 2))
+        return np.einsum("...ti,...ij,...tj->...", S, Q_K, S) / l
     Q_K = np.moveaxis(Q_K.reshape(-1, n_x, n_x), 0, -1)  # (n_x, n_x, n or 1)
     block, total = _EINSUM_BUFFER // n_x**2, 0.0
-    buf = np.empty((1 + _COST_CHUNK * n_x**2, len(states)))
+    buf = np.empty((1 + _COST_CHUNK * n_x**2, n))
     for a in range(0, l, block):
         buf[0] = 0.0
         for c in range(a, min(a + block, l), _COST_CHUNK):
-            S = states[:, c:min(c + _COST_CHUNK, a + block)].transpose(1, 2, 0).copy()
+            S = states[c:min(c + _COST_CHUNK, a + block)].transpose(0, 2, 1).copy()
             m = 1 + len(S) * n_x**2
             terms = buf[1:m].reshape(len(S), n_x, n_x, -1)
             np.multiply(S[:, :, None], Q_K, out=terms)
@@ -447,7 +461,7 @@ class RolloutOracle:
             raise OverflowedRollout(
                 f"state overflowed at step {overflow[0]}", step=int(overflow[0])
             )
-        return Trajectory(states=states[0], gain_used=K,
+        return Trajectory(states=states[:, 0], gain_used=K,
                           seed_label=(run_id, rollout_id, int(purpose)))
 
     def rollout_batch(
@@ -459,16 +473,21 @@ class RolloutOracle:
         rollout_ids,
         purpose: Purpose = Purpose.NOISE,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched rollouts, one noise substream per rollout id."""
+        """Batched rollouts, one noise substream per rollout id, in one buffer
+        (l, n, n_x): rows 1..l-1 take the colored noise a chunk of ids at a
+        time, and :func:`simulate_batch` overwrites them with the states."""
         if l < 1:
             raise ConfigurationError(f"l must be >= 1, got {l}")
-        noises = self._seeds.draw(run_id, rollout_ids, purpose, (l - 1, self.n_x))
-        # Colored in place, a chunk at a time: no third state-sized array.
-        for a in range(0, len(noises), _SEED_CHUNK):
-            noises[a:a + _SEED_CHUNK] = noises[a:a + _SEED_CHUNK] @ self._factor_w.T
-        return simulate_batch(self._plant, Ks, x0s, l, noises)
+        states = np.empty((l, len(rollout_ids), self.n_x))
+        step = max(1, min(_SEED_CHUNK, 2**17 // (l * self.n_x)))
+        for a in range(0, len(rollout_ids), step):
+            ids = rollout_ids[a:a + step]
+            noise = self._seeds.draw(run_id, ids, purpose, (l - 1, self.n_x))
+            states[1:, a:a + len(ids)] = (noise @ self._factor_w.T).transpose(1, 0, 2)
+        return simulate_batch(self._plant, Ks, x0s, l, states[1:], out=states)
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
-        """Empirical (Q, R) costs (n,) of a batch of states (n, l, n_x) under
-        the gains that produced them: Ks (n, n_u, n_x) or one shared gain."""
-        return empirical_cost(states, self._plant.Q, self._plant.R, Ks)
+        """Empirical (Q, R) costs (n,) of a time-major batch of states
+        (l, n, n_x), as :meth:`rollout_batch` returns it, under the gains that
+        produced them: Ks (n, n_u, n_x) or one shared gain."""
+        return _batch_cost(states, self._plant.Q, self._plant.R, Ks)

@@ -19,6 +19,7 @@ from lqrpg import (
     SeedSpec,
     empirical_cost,
     empirical_covariance,
+    estimate_gradient_covariance,
     paper3x3,
     sample_initial_state,
     sample_sphere_perturbation,
@@ -166,15 +167,15 @@ class TestSimulate:
         x0 = np.linspace(0.7, -0.2, plant.n_x)
         noises = (seeds.generator(0, 5, Purpose.NOISE).standard_normal((49, plant.n_x))
                   @ _psd_factor(plant.Sigma_w).T)
-        reference, _ = simulate_batch(plant, K[None], x0[None], 50, noises[None])
+        reference, _ = simulate_batch(plant, K[None], x0[None], 50, noises[:, None])
         oracle = RolloutOracle(plant, seeds)
         states, overflow = oracle.rollout_batch(
             K[None], x0[None], 50, 0, [5], Purpose.NOISE
         )
         assert overflow[0] == -1
-        np.testing.assert_array_equal(reference[0], states[0])
+        np.testing.assert_array_equal(reference[:, 0], states[:, 0])
         single = oracle.rollout(K, x0, 50, 0, 5)
-        np.testing.assert_array_equal(single.states, states[0])
+        np.testing.assert_array_equal(single.states, states[:, 0])
         assert single.seed_label == (0, 5, int(Purpose.NOISE))
 
     def test_batch_overflow_isolated(self):
@@ -182,7 +183,7 @@ class TestSimulate:
         Ks = np.array([[[-0.5]], [[500.0]]])
         x0s = np.array([[1.0], [1.0]])
         noises = np.zeros((2, 299, 1))
-        states, overflow = simulate_batch(p, Ks, x0s, 300, noises)
+        states, overflow = simulate_batch(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
         assert overflow[0] == -1
         assert overflow[1] > 0
         assert np.all(np.isfinite(states))
@@ -231,8 +232,8 @@ class TestSimulateBatch:
         x0s = rng.normal(size=(len(kinds), plant.n_x))
         noises = rng.normal(size=(len(kinds), l - 1, plant.n_x))
         ref_states, ref_overflow = masked_simulate(plant, Ks, x0s, l, noises)
-        states, overflow = simulate_batch(plant, Ks, x0s, l, noises)
-        assert states.tobytes() == ref_states.tobytes()
+        states, overflow = simulate_batch(plant, Ks, x0s, l, noises.transpose(1, 0, 2))
+        assert states.transpose(1, 0, 2).tobytes() == ref_states.tobytes()
         np.testing.assert_array_equal(overflow, ref_overflow)
         for kind, step in zip(kinds, overflow):
             if kind in ("inf", "nan") and l > 1:
@@ -245,8 +246,8 @@ class TestSimulateBatch:
         x0s = np.ones((3, 1))
         noises = np.random.default_rng(0).normal(size=(3, 299, 1))
         ref_states, ref_overflow = masked_simulate(p, Ks, x0s, 300, noises)
-        states, overflow = simulate_batch(p, Ks, x0s, 300, noises)
-        assert states.tobytes() == ref_states.tobytes()
+        states, overflow = simulate_batch(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
+        assert states.transpose(1, 0, 2).tobytes() == ref_states.tobytes()
         np.testing.assert_array_equal(overflow, ref_overflow)
         assert overflow[0] == -1 and 90 < overflow[1] < 299 and 90 < overflow[2] < 299
 
@@ -306,14 +307,14 @@ class TestBatchedDraws:
         Ks = np.zeros((len(ids), plant.n_u, plant.n_x))
         x0s = np.zeros((len(ids), plant.n_x))
         states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, purpose)
-        assert states.shape == (len(ids), l, plant.n_x)
+        assert states.shape == (l, len(ids), plant.n_x)
         assert np.all(overflow == -1)
         factor_w = _psd_factor(plant.Sigma_w)
         for j, k in enumerate(ids):
             g = reference_generator(master, run_id, k, purpose)
             noise = g.standard_normal((l - 1, plant.n_x)) @ factor_w.T
-            ref, _ = simulate_batch(plant, Ks[:1], x0s[:1], l, noise[None])
-            np.testing.assert_array_equal(states[j], ref[0])
+            ref, _ = simulate_batch(plant, Ks[:1], x0s[:1], l, noise[:, None])
+            np.testing.assert_array_equal(states[:, j], ref[:, 0])
 
     def test_noises_across_chunks(self):
         plant = random_plant(np.random.default_rng(3), 3, 2)
@@ -327,7 +328,8 @@ class TestBatchedDraws:
         noises = np.array([
             reference_generator(11, 1, k, Purpose.NOISE).standard_normal(
                 (l - 1, plant.n_x)) @ factor_w.T for k in range(n)])
-        ref, _ = simulate_batch(plant, np.broadcast_to(K, (n, *K.shape)), x0s, l, noises)
+        ref, _ = simulate_batch(plant, np.broadcast_to(K, (n, *K.shape)), x0s, l,
+                                noises.transpose(1, 0, 2))
         np.testing.assert_array_equal(states, ref)
 
     def test_empty_batches(self):
@@ -337,7 +339,7 @@ class TestBatchedDraws:
         assert oracle.draw_initial_states(0, []).shape == (0, 3)
         states, overflow = oracle.rollout_batch(
             np.zeros((0, 3, 3)), np.zeros((0, 3)), 5, 0, [])
-        assert states.shape == (0, 5, 3) and overflow.shape == (0,)
+        assert states.shape == (5, 0, 3) and overflow.shape == (0,)
 
     def test_zero_norm_perturbation_redrawn_on_its_stream(self, monkeypatch):
         """A zero-norm row is redrawn alone by the per-id sampler on its own
@@ -375,8 +377,8 @@ class TestBatchedDraws:
             oracle.draw_perturbations(0.0, 0, [0])
 
     def test_rollout_batch_peak_memory(self):
-        """One batch holds the noises and the states, no third state-sized
-        array: vr_estimate's baseline batches hold 12,000 rollouts."""
+        """One buffer holds the noises and then the states, plus a chunk of
+        colored noise: vr_estimate's baseline batches hold 12,000 rollouts."""
         plant = paper3x3()
         oracle = RolloutOracle(plant, SeedSpec(0))
         n, l = 2000, 100
@@ -391,7 +393,7 @@ class TestBatchedDraws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * n * l * plant.n_x * 8
+        assert peak <= 1.4 * n * l * plant.n_x * 8
 
 
 class TestEmpirical:
@@ -417,9 +419,10 @@ class TestEmpirical:
         x0s = np.array([oracle.draw_initial_state(0, k) for k in range(n)])
         states, overflow = oracle.rollout_batch(Ks, x0s, l, 0, range(n))
         assert np.all(overflow == -1)
-        each = np.array([empirical_cost(states[k], plant.Q, plant.R, Ks[k])
+        id_major = np.ascontiguousarray(states.transpose(1, 0, 2))
+        each = np.array([empirical_cost(id_major[k], plant.Q, plant.R, Ks[k])
                          for k in range(n)])
-        batch = empirical_cost(states, plant.Q, plant.R, Ks)
+        batch = empirical_cost(id_major, plant.Q, plant.R, Ks)
         assert batch.shape == (n,)
         np.testing.assert_array_equal(batch, each)
         np.testing.assert_array_equal(oracle.stage_cost(states, Ks), each)
@@ -492,6 +495,93 @@ class TestEmpirical:
         np.testing.assert_allclose(
             empirical_covariance(states), np.diag([0.5, 2.0])
         )
+
+
+def id_major_rollouts(plant, seeds, Ks, x0s, l, run_id, ids, purpose):
+    """The id-major pipeline that the time-major buffer replaced, as the
+    reference: draw every noise row, color 256 ids at a time, and step states
+    laid out (n, l, n_x) with the masked loop, which gives the bytes of the
+    id-major mask-free loop."""
+    noises = seeds.draw(run_id, ids, purpose, (l - 1, plant.n_x))
+    for a in range(0, len(noises), 256):
+        noises[a:a + 256] = noises[a:a + 256] @ _psd_factor(plant.Sigma_w).T
+    return masked_simulate(plant, Ks, x0s, l, noises)
+
+
+class TestTimeMajorLayout:
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 600])
+    def test_rollout_and_cost_match_id_major_bitwise(self, n):
+        """rollout_batch and stage_cost give the bytes of the id-major
+        pipeline priced by einsum: around the 256-id chunk edges, at every
+        l and n_x, with rows that overflow early or late, and with per-row,
+        broadcast (stride-0) and single gains."""
+        for l, n_x in itertools.product([1, 2, 9, 100], range(1, 5)):
+            rng = np.random.default_rng(1000 * n + 10 * l + n_x)
+            plant = random_plant(rng, n_x, min(n_x, 2))
+            assert n_x == 1 or np.count_nonzero(plant.Sigma_w - np.diag(np.diag(plant.Sigma_w)))
+            oracle = RolloutOracle(plant, SeedSpec(n + l))
+            K = solve_dare(plant).K_star
+            x0s = oracle.draw_initial_states(3, range(n))
+            per_row = K + 0.05 * rng.standard_normal((n, *K.shape))
+            per_row[3::7] = 1e150 * rng.standard_normal(per_row[3::7].shape)
+            per_row[5::11] = 1e3 * rng.standard_normal(per_row[5::11].shape)
+            shared = np.broadcast_to(K, (n, *K.shape))
+            for Ks, gain, base, purpose in [
+                    (per_row, per_row, 0, Purpose.NOISE),
+                    (shared, shared, 2**40, Purpose.BASELINE),
+                    (shared, K, 7, Purpose.NOISE)]:
+                ids = range(base, base + n)
+                states, overflow = oracle.rollout_batch(Ks, x0s, l, 3, ids, purpose)
+                ref, ref_overflow = id_major_rollouts(plant, oracle.seeds, Ks, x0s,
+                                                      l, 3, ids, purpose)
+                assert states.shape == (l, n, n_x)
+                assert states.transpose(1, 0, 2).tobytes() == ref.tobytes()
+                np.testing.assert_array_equal(overflow, ref_overflow)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cost = oracle.stage_cost(states, gain)
+                    ref_cost = TestEmpirical.einsum_cost(ref, plant.Q, plant.R, gain)
+                assert cost.tobytes() == ref_cost.tobytes()
+                if gain is per_row and n > 3 and l > 2:
+                    assert overflow[3] > 0  # the 1e150 row overflowed
+
+    def test_long_rollouts_colored_in_small_chunks(self):
+        """Long rollouts color their noise 2 ids at a time, not all 21 at once:
+        the same bytes, and the peak stays near one state array."""
+        plant = paper3x3(noise_scale=0.01)
+        oracle = RolloutOracle(plant, SeedSpec(2))
+        n, l = 21, 20_000
+        K = solve_dare(plant).K_star
+        Ks = np.broadcast_to(K, (n, *K.shape))
+        x0s = oracle.draw_initial_states(0, range(n))
+        oracle.rollout_batch(Ks[:2], x0s[:2], 3, 0, range(2))
+        tracemalloc.start()
+        try:
+            states, _ = oracle.rollout_batch(Ks, x0s, l, 0, range(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * n * l * plant.n_x * 8
+        ref, _ = id_major_rollouts(plant, oracle.seeds, Ks, x0s, l, 0, range(n),
+                                   Purpose.NOISE)
+        assert states.transpose(1, 0, 2).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n, l", [(1, 1), (2, 9), (257, 100), (600, 9)])
+    def test_npg_covariance_matches_id_major_bitwise(self, n, l):
+        plant = random_plant(np.random.default_rng(n + l), 3, 2)
+        oracle = RolloutOracle(plant, SeedSpec(7))
+        cfg = RolloutConfig(n=n, l=l, r=0.05, L0=oracle.L0)
+        K = solve_dare(plant).K_star
+        grad, cov = estimate_gradient_covariance(oracle, K, cfg, run_id=2)
+        U = oracle.draw_perturbations(cfg.r, 2, range(n))
+        x0s = oracle.draw_initial_states(2, range(n))
+        states, overflow = id_major_rollouts(plant, oracle.seeds, K + U, x0s, l, 2,
+                                             range(n), Purpose.NOISE)
+        assert not grad.failed and np.all(overflow == -1)
+        ref = np.einsum("kti,ktj->ij", states, states) / (n * l)
+        assert cov.value.tobytes() == (0.5 * (ref + ref.T)).tobytes()
+        costs = TestEmpirical.einsum_cost(states, plant.Q, plant.R, K + U)
+        ref_grad = ((U[0].size / cfg.r**2) * costs[:, None, None] * U).mean(axis=0)
+        assert grad.value.tobytes() == ref_grad.tobytes()
 
 
 class TestRolloutOracle:
