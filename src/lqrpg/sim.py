@@ -56,10 +56,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _M32 = (1 << 32) - 1
 # Rollout ids hashed per array pass; a batch's noise is colored into its buffer
-# by as many ids per pass, or by as many as fill 2**17 normals if fewer (>= 1).
-_SEED_CHUNK = 256
+# by as many ids per pass, or by as many as fill _CHUNK_NORMALS if fewer (>= 1),
+# so that a chunk's normals stay small next to one (l, n, n_x) state array.
+_SEED_CHUNK, _CHUNK_NORMALS = 256, 2**17
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
-# that empirical_cost prices per array pass.
+# that _batch_cost prices per array pass.
 _EINSUM_BUFFER, _COST_CHUNK = 8192, 8
 
 
@@ -279,28 +280,23 @@ def _bounded_draw(
 
 
 def simulate_batch(
-    plant: PlantModel,
-    Ks: np.ndarray,
-    x0s: np.ndarray,
-    l: int,
-    noises: np.ndarray,
-    out: np.ndarray | None = None,
+    plant: PlantModel, Ks: np.ndarray, x0s: np.ndarray, l: int, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized rollouts: one closed loop per row of ``Ks``, time-major.
 
-    ``noises`` has shape (l-1, n, n_x), column k from rollout k's own
-    substream (:meth:`RolloutOracle.rollout_batch`); a rollout's states do
-    not depend on the rest of its batch, bit for bit. The states go to
-    ``out`` (l, n, n_x) if given; ``noises`` may be ``out[1:]``, stepped in
-    place. Returns (states (l, n, n_x), overflow_step (n,)) where overflow_step is
-    -1 for finite rollouts and the first bad step index otherwise; states of
-    an overflowed rollout are zeroed from that step on.
+    ``states`` (l, n, n_x) is stepped in place: rows 1..l-1 come in holding
+    the noise, column k from rollout k's own substream
+    (:meth:`RolloutOracle.rollout_batch`), row 0 is set to ``x0s``, and
+    every row leaves holding the states. A rollout's states do not depend on
+    the rest of its batch, bit for bit. Returns (states, overflow_step (n,))
+    where overflow_step is -1 for finite rollouts and the first bad step
+    index otherwise; states of an overflowed rollout are zeroed from that
+    step on.
     """
     Ks = np.asarray(Ks, dtype=float)
     n = Ks.shape[0]
     A_Ks = plant.A[None, :, :] + np.einsum("ij,kjm->kim", plant.B, Ks)
-    states = np.empty((l, n, plant.n_x)) if out is None else out
-    states[0], states[1:] = x0s, noises  # NumPy copies no view onto itself
+    states[0] = x0s
     overflow = np.full(n, -1, dtype=int)
     Ax = np.empty((n, plant.n_x))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,17 +319,16 @@ def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarr
     one gain or one gain per trajectory (n, n_u, n_x). A batch gives costs
     of shape (n,), each bit-identical to the cost of its trajectory alone
     (but at l = 1 and n_x = 2, where einsum sums one trajectory pairwise).
-
-    The sum is ``einsum("...ti,...ij,...tj->...")``'s, bit for bit. For a
-    C-contiguous batch of n > 1 trajectories of n_x <= 90 states whose
-    products fill more than one buffer, einsum adds a trajectory's products
-    (x_ti (Q_K)_ij) x_tj in (t, i, j) order, from 0 in each block of
-    ``_EINSUM_BUFFER // n_x**2`` time steps, then the blocks in turn;
-    :func:`_batch_cost` prices such a batch in that order, across the batch.
-    einsum prices the rest.
+    The sum is ``einsum("...ti,...ij,...tj->...")``'s, bit for bit: a
+    C-contiguous batch goes to :func:`_batch_cost`, the rest to einsum.
     """
     if states.ndim == 3 and states.flags.c_contiguous:
         return _batch_cost(states.transpose(1, 0, 2), Q, R, K)
+    return _einsum_cost(states, Q, R, K)
+
+
+def _einsum_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray):
+    """The einsum reference that :func:`empirical_cost` matches."""
     K = np.asarray(K, dtype=float)
     Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
     return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
@@ -341,18 +336,20 @@ def empirical_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarr
 
 def _batch_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray):
     """:func:`empirical_cost` of a time-major batch (l, n, n_x)'s id-major
-    copy, bit for bit. Blocked, chunks of products laid out (terms, n), with
-    the running sum as row 0, are summed down axis 0, which NumPy does row
-    by row: einsum's order, across the batch."""
+    copy, bit for bit. For n > 1 trajectories of n_x <= 90 states whose
+    products fill more than one buffer, einsum adds a trajectory's products
+    (x_ti (Q_K)_ij) x_tj in (t, i, j) order, from 0 in each block of
+    ``_EINSUM_BUFFER // n_x**2`` time steps, then the blocks in turn. This
+    loop does the same across the batch: chunks of products laid out
+    (terms, n), with the running sum as row 0, are summed down axis 0, which
+    NumPy does row by row. einsum prices the rest, on the id-major copy."""
     l, n, n_x = states.shape
-    blocked = n > 1 and n_x**2 <= _EINSUM_BUFFER < states.size * n_x
+    if not (n > 1 and n_x**2 <= _EINSUM_BUFFER < states.size * n_x):
+        return _einsum_cost(np.ascontiguousarray(states.transpose(1, 0, 2)), Q, R, K)
     K = np.asarray(K, dtype=float)
-    if blocked and K.ndim == 3 and K.strides[0] == 0:  # one gain, broadcast
+    if K.ndim == 3 and K.strides[0] == 0:  # one gain, broadcast
         K = K[:1]
     Q_K = Q + np.swapaxes(K, -1, -2) @ R @ K
-    if not blocked:
-        S = np.ascontiguousarray(states.transpose(1, 0, 2))
-        return np.einsum("...ti,...ij,...tj->...", S, Q_K, S) / l
     Q_K = np.moveaxis(Q_K.reshape(-1, n_x, n_x), 0, -1)  # (n_x, n_x, n or 1)
     block, total = _EINSUM_BUFFER // n_x**2, 0.0
     buf = np.empty((1 + _COST_CHUNK * n_x**2, n))
@@ -479,12 +476,12 @@ class RolloutOracle:
         if l < 1:
             raise ConfigurationError(f"l must be >= 1, got {l}")
         states = np.empty((l, len(rollout_ids), self.n_x))
-        step = max(1, min(_SEED_CHUNK, 2**17 // (l * self.n_x)))
+        step = max(1, min(_SEED_CHUNK, _CHUNK_NORMALS // (l * self.n_x)))
         for a in range(0, len(rollout_ids), step):
             ids = rollout_ids[a:a + step]
             noise = self._seeds.draw(run_id, ids, purpose, (l - 1, self.n_x))
             states[1:, a:a + len(ids)] = (noise @ self._factor_w.T).transpose(1, 0, 2)
-        return simulate_batch(self._plant, Ks, x0s, l, states[1:], out=states)
+        return simulate_batch(self._plant, Ks, x0s, l, states)
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a time-major batch of states

@@ -151,6 +151,12 @@ class TestInitialState:
         assert default_initial_state_bound(np.zeros((2, 2))) == 1.0
 
 
+def simulate_noises(plant, Ks, x0s, l, noises):
+    """simulate_batch on a fresh buffer whose rows 1..l-1 hold ``noises``."""
+    return simulate_batch(plant, Ks, x0s, l,
+                          np.concatenate([np.asarray(x0s, dtype=float)[None], noises]))
+
+
 class TestSimulate:
     def test_noise_free_deadbeat(self):
         p = PlantModel(A=[[0.5]], B=[[1.0]], Q=[[1.0]], R=[[1.0]],
@@ -167,7 +173,7 @@ class TestSimulate:
         x0 = np.linspace(0.7, -0.2, plant.n_x)
         noises = (seeds.generator(0, 5, Purpose.NOISE).standard_normal((49, plant.n_x))
                   @ _psd_factor(plant.Sigma_w).T)
-        reference, _ = simulate_batch(plant, K[None], x0[None], 50, noises[:, None])
+        reference, _ = simulate_noises(plant, K[None], x0[None], 50, noises[:, None])
         oracle = RolloutOracle(plant, seeds)
         states, overflow = oracle.rollout_batch(
             K[None], x0[None], 50, 0, [5], Purpose.NOISE
@@ -183,7 +189,7 @@ class TestSimulate:
         Ks = np.array([[[-0.5]], [[500.0]]])
         x0s = np.array([[1.0], [1.0]])
         noises = np.zeros((2, 299, 1))
-        states, overflow = simulate_batch(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
+        states, overflow = simulate_noises(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
         assert overflow[0] == -1
         assert overflow[1] > 0
         assert np.all(np.isfinite(states))
@@ -232,7 +238,7 @@ class TestSimulateBatch:
         x0s = rng.normal(size=(len(kinds), plant.n_x))
         noises = rng.normal(size=(len(kinds), l - 1, plant.n_x))
         ref_states, ref_overflow = masked_simulate(plant, Ks, x0s, l, noises)
-        states, overflow = simulate_batch(plant, Ks, x0s, l, noises.transpose(1, 0, 2))
+        states, overflow = simulate_noises(plant, Ks, x0s, l, noises.transpose(1, 0, 2))
         assert states.transpose(1, 0, 2).tobytes() == ref_states.tobytes()
         np.testing.assert_array_equal(overflow, ref_overflow)
         for kind, step in zip(kinds, overflow):
@@ -246,7 +252,7 @@ class TestSimulateBatch:
         x0s = np.ones((3, 1))
         noises = np.random.default_rng(0).normal(size=(3, 299, 1))
         ref_states, ref_overflow = masked_simulate(p, Ks, x0s, 300, noises)
-        states, overflow = simulate_batch(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
+        states, overflow = simulate_noises(p, Ks, x0s, 300, noises.transpose(1, 0, 2))
         assert states.transpose(1, 0, 2).tobytes() == ref_states.tobytes()
         np.testing.assert_array_equal(overflow, ref_overflow)
         assert overflow[0] == -1 and 90 < overflow[1] < 299 and 90 < overflow[2] < 299
@@ -313,7 +319,7 @@ class TestBatchedDraws:
         for j, k in enumerate(ids):
             g = reference_generator(master, run_id, k, purpose)
             noise = g.standard_normal((l - 1, plant.n_x)) @ factor_w.T
-            ref, _ = simulate_batch(plant, Ks[:1], x0s[:1], l, noise[:, None])
+            ref, _ = simulate_noises(plant, Ks[:1], x0s[:1], l, noise[:, None])
             np.testing.assert_array_equal(states[:, j], ref[:, 0])
 
     def test_noises_across_chunks(self):
@@ -328,7 +334,7 @@ class TestBatchedDraws:
         noises = np.array([
             reference_generator(11, 1, k, Purpose.NOISE).standard_normal(
                 (l - 1, plant.n_x)) @ factor_w.T for k in range(n)])
-        ref, _ = simulate_batch(plant, np.broadcast_to(K, (n, *K.shape)), x0s, l,
+        ref, _ = simulate_noises(plant, np.broadcast_to(K, (n, *K.shape)), x0s, l,
                                 noises.transpose(1, 0, 2))
         np.testing.assert_array_equal(states, ref)
 
