@@ -60,17 +60,6 @@ class BaselineEstimate:
     failed: bool = False
 
 
-def _rollout_costs(oracle, Ks, x0s, l, run_id, ids, purpose):
-    """Roll out and price one batch: (states (l, n, n_x), costs (n,), None),
-    or (states, None, index of the first overflowed rollout)."""
-    states, overflow = oracle.rollout_batch(Ks, x0s, l, run_id, ids, purpose)
-    if np.any(overflow >= 0):
-        return states, None, int(np.argmax(overflow >= 0))
-    # Finite states can still give costs that overflow to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return states, oracle.stage_cost(states, Ks), None
-
-
 def _baselines(oracle, K, x0s, n_v, l, run_id, rollout_base):
     """Mean cost of n_v rollouts of K from each row k of x0s, on baseline ids
     rollout_base + [k n_v, (k+1) n_v): (baselines, None), or (None, the first
@@ -80,8 +69,8 @@ def _baselines(oracle, K, x0s, n_v, l, run_id, rollout_base):
     m = len(x0s)
     Ks = np.broadcast_to(K, (m * n_v, *K.shape))
     ids = range(rollout_base, rollout_base + m * n_v)
-    _, costs, bad = _rollout_costs(oracle, Ks, np.repeat(x0s, n_v, axis=0), l,
-                                   run_id, ids, Purpose.BASELINE)
+    costs, bad = oracle.rollout_costs(Ks, np.repeat(x0s, n_v, axis=0), l, run_id,
+                                      ids, Purpose.BASELINE)
     if bad is not None:
         return None, bad // n_v
     return costs.reshape(m, n_v).mean(axis=1), None
@@ -111,21 +100,20 @@ def _gradient(U, costs, baselines, cfg, keep_terms, meta) -> GradientEstimate:
 
 
 def _plain(oracle, K, cfg, run_id):
-    """The plain estimator's n rollouts of K + U_k, priced: (U, states,
-    costs, first overflowed rollout, meta) as :func:`_rollout_costs` gives."""
+    """The plain estimator's perturbations U, its n gains K + U_k, their
+    initial states, and the estimate's meta."""
     U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
     x0s = oracle.draw_initial_states(run_id, range(cfg.n))
-    states, costs, bad = _rollout_costs(oracle, np.asarray(K, dtype=float) + U, x0s,
-                                        cfg.l, run_id, range(cfg.n), Purpose.NOISE)
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
-    return U, states, costs, bad, meta
+    return U, np.asarray(K, dtype=float) + U, x0s, meta
 
 
 def estimate_gradient(oracle: RolloutOracle, K: np.ndarray, cfg: RolloutConfig,
                       run_id: int = 0, keep_terms: bool = False) -> GradientEstimate:
     """The gradient estimate of :func:`estimate_gradient_covariance`, bit for
-    bit, without reducing the states to a covariance."""
-    U, _, costs, bad, meta = _plain(oracle, K, cfg, run_id)
+    bit, without keeping the states for a covariance."""
+    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
+    costs, bad = oracle.rollout_costs(Ks, x0s, cfg.l, run_id, range(cfg.n))
     if bad is not None:
         return _failed(oracle, bad, meta)[0]
     return _gradient(U, costs, 0.0, cfg, keep_terms, meta)
@@ -146,11 +134,15 @@ def estimate_gradient_covariance(
     empirical state covariance for Sigma. Only K + U_k is rolled out; there
     is no K - U_k rollout.
     """
-    U, states, costs, bad, meta = _plain(oracle, K, cfg, run_id)
-    if bad is not None:
-        return _failed(oracle, bad, meta)
+    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
+    # The covariance needs every state, so this batch is rolled out whole.
+    states, overflow = oracle.rollout_batch(Ks, x0s, cfg.l, run_id, range(cfg.n))
+    if np.any(overflow >= 0):
+        return _failed(oracle, int(np.argmax(overflow >= 0)), meta)
     S = np.ascontiguousarray(states.transpose(1, 0, 2))  # id-major, einsum's order
+    # Finite states can still give costs that overflow to inf.
     with np.errstate(over="ignore", invalid="ignore"):
+        costs = oracle.stage_cost(states, Ks)
         cov = np.einsum("kti,ktj->ij", S, S) / (cfg.n * cfg.l)
         cov = 0.5 * (cov + cov.T)
     return (_gradient(U, costs, 0.0, cfg, keep_terms, meta),
@@ -202,8 +194,7 @@ def estimate_gradient_vr(
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
     baselines, bad = _baselines(oracle, K, x0s, n_v, cfg.l, run_id, 0)
     if bad is None:
-        _, costs, bad = _rollout_costs(oracle, K + U, x0s, cfg.l, run_id,
-                                       range(cfg.n), Purpose.NOISE)
+        costs, bad = oracle.rollout_costs(K + U, x0s, cfg.l, run_id, range(cfg.n))
     if bad is not None:
         return _failed(oracle, bad, meta)[0]
     return _gradient(U, costs, baselines, cfg, keep_terms, meta)

@@ -10,7 +10,9 @@ id's words. The :class:`RolloutOracle` wraps a
 plant behind an interface that never exposes (A, B, Sigma_w), which is the
 model-free contract the estimators rely on: it draws and rolls out whole
 batches and prices them with :func:`empirical_cost`, the one stage-cost
-formula. A batch is one time-major buffer (l, n, n_x), of noise, then states.
+formula. A batch is one time-major buffer (l, n, n_x), of noise, then states;
+:meth:`RolloutOracle.rollout_costs` streams a cost-only batch through one
+reused buffer of a chunk of ids, with the whole batch's bytes.
 """
 from __future__ import annotations
 
@@ -59,6 +61,8 @@ _M32 = (1 << 32) - 1
 # by as many ids per pass, or by as many as fill _CHUNK_NORMALS if fewer (>= 1),
 # so that a chunk's normals stay small next to one (l, n, n_x) state array.
 _SEED_CHUNK, _CHUNK_NORMALS = 256, 2**17
+# Bytes of states that RolloutOracle.rollout_costs holds per streamed chunk.
+_STREAM_BYTES = 2**22
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
 # that _batch_cost prices per array pass.
 _EINSUM_BUFFER, _COST_CHUNK = 8192, 8
@@ -154,21 +158,28 @@ class SeedSpec:
         key_pool = np.random.SeedSequence(
             self.master_seed, spawn_key=(run_id,)).pool[:, None]
         purpose_word = np.array([purpose], dtype=np.uint32)
-        ids = [operator.index(k) for k in rollout_ids]
-        if ids and min(ids) < 0:
-            raise ConfigurationError(f"seed keys must be >= 0, got {min(ids)}")
+        ids = np.asarray(rollout_ids)
+        if ids.dtype.kind not in "iu":  # ids of 2^64 and up, or to be checked
+            ids = np.array([operator.index(k) for k in rollout_ids], dtype=object)
+        if len(ids) and ids.min() < 0:
+            raise ConfigurationError(f"seed keys must be >= 0, got {ids.min()}")
+        # The 32-bit words of every id, low first, and each id's word count.
+        id_words, rest, widths = [], ids, np.ones(len(ids), dtype=int)
+        while True:
+            id_words.append((rest & _M32).astype(np.uint32))
+            rest = rest >> 32
+            if not (more := rest != 0).any():
+                break
+            widths += more
         seeds = np.empty((len(ids), 4), dtype="<u8")
         for a in range(0, len(ids), _SEED_CHUNK):
-            chunk = ids[a:a + _SEED_CHUNK]
+            chunk = widths[a:a + _SEED_CHUNK]
             # An id of w words shifts the purpose word's hash position by w.
-            widths = [(k.bit_length() + 31) // 32 or 1 for k in chunk]
-            for width in set(widths):
-                rows = [a + j for j, w in enumerate(widths) if w == width]
+            for width in set(chunk.tolist()):
+                rows = a + np.flatnonzero(chunk == width)
                 pool, hash_const = key_pool, key_const
-                for i in range(width):
-                    col = np.array([ids[j] >> (32 * i) & _M32 for j in rows],
-                                   dtype=np.uint32)
-                    pool, hash_const = _absorb(pool, col, hash_const)
+                for word in id_words[:width]:
+                    pool, hash_const = _absorb(pool, word[rows], hash_const)
                 pool, hash_const = _absorb(pool, purpose_word, hash_const)
                 # generate_state(4, uint64): 8 words cycled from the pool.
                 words, _ = _hashmix(np.tile(pool, (2, 1)), _INIT_B, _MULT_B,
@@ -180,8 +191,10 @@ class SeedSpec:
         """Standard normals (len(rollout_ids), *shape): row j is the first
         normals of id j's substream of (run_id, purpose)."""
         out = np.empty((len(rollout_ids), *shape))
-        for words, row in zip(self._words(run_id, rollout_ids, purpose), out):
-            _generator(words).standard_normal(out=row)
+        # One seed holder per call, handed each id's words in turn.
+        seed, pcg64, gen = _seed_words()(None), np.random.PCG64, np.random.Generator
+        for seed.words, row in zip(self._words(run_id, rollout_ids, purpose), out):
+            gen(pcg64(seed)).standard_normal(out=row)
         return out
 
     def generator(
@@ -334,6 +347,28 @@ def _einsum_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray
     return np.einsum("...ti,...ij,...tj->...", states, Q_K, states) / states.shape[-2]
 
 
+def _color_step(l: int, n_x: int) -> int:
+    """Ids whose noise :meth:`RolloutOracle.rollout_batch` colors per pass."""
+    return max(1, min(_SEED_CHUNK, _CHUNK_NORMALS // (l * n_x)))
+
+
+def _stream_edges(n: int, l: int, n_x: int) -> list[int]:
+    """Edges [0, ..., n] of the chunks that :meth:`RolloutOracle.rollout_costs`
+    streams n ids through with the whole batch's bytes: one chunk if
+    :func:`_batch_cost` prices the batch by einsum; else whole coloring passes
+    holding about ``_STREAM_BYTES`` of states, each chunk, the last (with a
+    short remainder) too, long enough for the blocked path."""
+    least = max(2, _EINSUM_BUFFER // (l * n_x**2) + 1)
+    if n_x**2 > _EINSUM_BUFFER or n < least:
+        return [0, n]
+    step = _color_step(l, n_x)
+    size = max(_STREAM_BYTES // (8 * l * n_x) // step, -(-least // step)) * step
+    edges = list(range(0, n, size))
+    if len(edges) > 1 and n - edges[-1] < least:
+        edges.pop()
+    return edges + [n]
+
+
 def _batch_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray):
     """:func:`empirical_cost` of a time-major batch (l, n, n_x)'s id-major
     copy, bit for bit. For n > 1 trajectories of n_x <= 90 states whose
@@ -469,19 +504,43 @@ class RolloutOracle:
         run_id: int,
         rollout_ids,
         purpose: Purpose = Purpose.NOISE,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched rollouts, one noise substream per rollout id, in one buffer
-        (l, n, n_x): rows 1..l-1 take the colored noise a chunk of ids at a
-        time, and :func:`simulate_batch` overwrites them with the states."""
+        (l, n, n_x), new or ``out``: rows 1..l-1 take the colored noise a
+        chunk of ids at a time, and :func:`simulate_batch` overwrites them
+        with the states."""
         if l < 1:
             raise ConfigurationError(f"l must be >= 1, got {l}")
-        states = np.empty((l, len(rollout_ids), self.n_x))
-        step = max(1, min(_SEED_CHUNK, _CHUNK_NORMALS // (l * self.n_x)))
+        states = np.empty((l, len(rollout_ids), self.n_x)) if out is None else out
+        step = _color_step(l, self.n_x)
         for a in range(0, len(rollout_ids), step):
             ids = rollout_ids[a:a + step]
             noise = self._seeds.draw(run_id, ids, purpose, (l - 1, self.n_x))
             states[1:, a:a + len(ids)] = (noise @ self._factor_w.T).transpose(1, 0, 2)
         return simulate_batch(self._plant, Ks, x0s, l, states)
+
+    def rollout_costs(self, Ks: np.ndarray, x0s: np.ndarray, l: int, run_id: int,
+                      rollout_ids, purpose: Purpose = Purpose.NOISE):
+        """Roll out and price a batch without keeping its states: (costs (n,),
+        None), or (None, index of the first overflowed rollout). The batch
+        streams through one reused buffer, a chunk of ids at a time
+        (:func:`_stream_edges`); each chunk is :meth:`rollout_batch` then
+        :meth:`stage_cost`, and the costs are the whole batch's, bit for bit.
+        Chunks after the first that overflows are not simulated."""
+        edges = _stream_edges(len(rollout_ids), l, self.n_x)
+        buf = np.empty((l, max(np.diff(edges)), self.n_x))
+        costs = np.empty(len(rollout_ids))
+        for a, b in zip(edges, edges[1:]):
+            states, overflow = self.rollout_batch(Ks[a:b], x0s[a:b], l, run_id,
+                                                  rollout_ids[a:b], purpose,
+                                                  out=buf[:, :b - a])
+            if np.any(overflow >= 0):
+                return None, a + int(np.argmax(overflow >= 0))
+            # Finite states can still give costs that overflow to inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                costs[a:b] = self.stage_cost(states, Ks[a:b])
+        return costs, None
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a time-major batch of states
