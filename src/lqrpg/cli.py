@@ -184,13 +184,10 @@ def _cmd_bounds(args) -> int:
     cost = args.cost
     if cost is None:
         cost = exact_quantities(cfg.plant, cfg.K0).cost
-    fmt = cfg.out_format
+    # The text report is the one for any other format.
     report = emit_bounds_report(cfg.plant, cost, ErrorBudget.even_split(0.4, 0.3),
-                                fmt="json" if fmt == "json" else "text")
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(report)
+                                fmt=cfg.out_format)
+    print(json.dumps(report, indent=2) if cfg.out_format == "json" else report)
     return EXIT_OK
 
 
@@ -209,24 +206,21 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "exact": _cmd_exact,
+    "mb-run": lambda args: _cmd_run(args, "mb"),
+    "mf-run": lambda args: _cmd_run(args, "mf"),
+    "estimate": _cmd_estimate,
+    "bounds": _cmd_bounds,
+    "figure": _cmd_figure,
+    "validate": _cmd_validate,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "exact":
-            return _cmd_exact(args)
-        if args.command == "mb-run":
-            return _cmd_run(args, "mb")
-        if args.command == "mf-run":
-            return _cmd_run(args, "mf")
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

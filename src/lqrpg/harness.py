@@ -4,11 +4,12 @@ presets, bounds reports, and CSV/JSON artifact emission.
 Configs are strict: unknown keys are rejected and every violation is
 reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
-byte-identical for a fixed seed regardless of the thread count.
+byte-identical for a fixed seed regardless of the thread count. The variants
+of a grid share these substreams, so its model-free variants run in lockstep,
+a repetition at a time, and make each iteration's draws once.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import functools
 import json
@@ -39,13 +40,15 @@ from .optimizers import (
     _mb_gauss_newton,
     _mb_npg,
     _mb_pgd,
+    _mf_npg,
+    _mf_pgd,
     _noisy_gradient_pgd,
-    run_mf_npg,
-    run_mf_pgd,
+    _round_robin,
 )
 from . import plants as _plants
 from .plants import PlantModel
-from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
+from .sim import (RolloutConfig, RolloutOracle, SeedSpec, _DrawMemo,
+                  default_initial_state_bound)
 
 __all__ = [
     "ExperimentConfig",
@@ -407,25 +410,22 @@ def _run_lockstep(cfg: ExperimentConfig) -> list[ConvergenceTrace]:
     return traces * (cfg.repetitions // m)
 
 
-def _run_single(cfg: ExperimentConfig, rep: int) -> ConvergenceTrace:
-    """One model-free Monte Carlo repetition; substreams are keyed by ``rep``."""
-    c_star = solve_dare(cfg.plant).C_star
-    oracle = RolloutOracle(cfg.plant, SeedSpec(cfg.master_seed), L0=cfg.rollout.L0)
-    norms = PlantNorms.from_plant(cfg.plant)
-    run_offset = rep * (cfg.stop.max_iters + 1)
-    if cfg.optimizer == "mf_pgd":
-        return run_mf_pgd(
-            oracle, cfg.K0, cfg.schedule, cfg.stop,
-            rollout_cfg=cfg.rollout, norms=norms, c_star=c_star,
-            use_vr=cfg.use_vr, n_v=cfg.n_v, run_offset=run_offset,
-        )
-    if cfg.optimizer == "mf_npg":
-        return run_mf_npg(
-            oracle, cfg.K0, cfg.schedule, cfg.stop,
-            rollout_cfg=cfg.rollout, norms=norms, c_star=c_star,
-            run_offset=run_offset,
-        )
-    raise ConfigurationError(f"unknown optimizer {cfg.optimizer!r}")
+def _run_stack(cfgs: list[ExperimentConfig], rep: int) -> list[ConvergenceTrace]:
+    """Repetition ``rep`` of model-free variants ``cfgs`` as one lockstep
+    stack, one trace each; substreams are keyed by ``rep``. Every live variant
+    makes iteration i before any makes i + 1, so at each iteration a stack of
+    two or more draws each master seed's shared random numbers once."""
+    memos = {c.master_seed: _DrawMemo(SeedSpec(c.master_seed)) for c in cfgs}
+    loops = []
+    for cfg in cfgs:
+        seeds = memos[cfg.master_seed] if len(cfgs) > 1 else SeedSpec(cfg.master_seed)
+        oracle = RolloutOracle(cfg.plant, seeds, L0=cfg.rollout.L0)
+        args = (oracle, cfg.K0, cfg.schedule, cfg.stop, cfg.rollout,
+                PlantNorms.from_plant(cfg.plant), solve_dare(cfg.plant).C_star)
+        offset = rep * (cfg.stop.max_iters + 1)
+        loops.append(_mf_pgd(*args, cfg.use_vr, cfg.n_v, None, offset)
+                     if cfg.optimizer == "mf_pgd" else _mf_npg(*args, None, offset))
+    return [traces[0] for traces in _round_robin(loops)]
 
 
 def _write_run_csv(path: str, run_id: int, trace: ConvergenceTrace) -> None:
@@ -508,48 +508,57 @@ def run_monte_carlo(
     threads: int | str = 1,
 ) -> OutputBundle:
     """Execute ``cfg.repetitions`` independent runs and emit the artifact
-    bundle (per-run CSV/JSON, aggregate CSV, manifest JSON).
+    bundle (per-run CSV/JSON, aggregate CSV, manifest JSON); a grid (a config
+    with ``variants``) emits one bundle per variant under its label.
 
     The repetitions of an exact-gradient variant (mb_pgd, mb_npg,
-    mb_gauss_newton, noisy_pgd) run in lockstep as one stack; ``threads``
-    spreads only model-free repetitions over a thread pool. Results are
-    collected in repetition order, so outputs do not depend on the thread
-    count.
+    mb_gauss_newton, noisy_pgd) run in lockstep as one stack. Repetition rep
+    of every model-free variant (mf_pgd, mf_npg) is one lockstep stack whose
+    variants share their seeded draws; a single config is a stack of one.
+    ``threads`` spreads these stacks over a thread pool, one per worker.
+    Results are collected in repetition order, so outputs do not depend on
+    the thread count. A model-free manifest's time includes its stacks.
     """
-    if cfg.variants:
-        subs = []
-        base = out_dir or cfg.out_dir
-        for var in cfg.variants:
-            subs.append(run_monte_carlo(var, os.path.join(base, var.label), threads))
-        os.makedirs(base, exist_ok=True)
-        manifest_path = os.path.join(base, "manifest.json")
-        with open(manifest_path, "w") as fh:
-            json.dump({"label": cfg.label,
-                       "variants": [s.label for s in subs]}, fh, indent=2)
-            fh.write("\n")
-        return OutputBundle(
-            out_dir=base, run_paths=[], aggregate_path="",
-            manifest_path=manifest_path, traces=[], label=cfg.label,
-            sub_bundles=tuple(subs),
-        )
-
     t0 = time.monotonic()
-    out_dir = out_dir or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if threads == "auto":
-        workers = min(os.cpu_count() or 1, cfg.repetitions)
-    else:
-        workers = max(1, int(threads))
+    free = [v for v in cfg.variants or (cfg,) if v.optimizer not in _LOCKSTEP]
+    reps = max((v.repetitions for v in free), default=0)
+    workers = min(os.cpu_count() or 1, reps) if threads == "auto" else int(threads)
+    stacks = [[v for v in free if rep < v.repetitions] for rep in range(reps)]
+    if workers > 1 and reps > 1:
+        import concurrent.futures
 
-    if cfg.optimizer in _LOCKSTEP:
-        traces = _run_lockstep(cfg)
-    elif workers == 1:
-        traces = [_run_single(cfg, rep) for rep in range(cfg.repetitions)]
-    else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(lambda rep: _run_single(cfg, rep),
-                                   range(cfg.repetitions)))
+            done = list(pool.map(_run_stack, stacks, range(reps)))
+    else:
+        done = list(map(_run_stack, stacks, range(reps)))
+    # Each stack lists its variants in the order of ``free``.
+    traces = iter([[done[rep].pop(0) for rep in range(v.repetitions)] for v in free])
 
+    def emit(var, out_dir):
+        if var.optimizer not in _LOCKSTEP:
+            return _emit(var, out_dir, next(traces), t0)
+        start = time.monotonic()
+        return _emit(var, out_dir, _run_lockstep(var), start)
+
+    base = out_dir or cfg.out_dir
+    if not cfg.variants:
+        return emit(cfg, base)
+    subs = [emit(var, os.path.join(base, var.label)) for var in cfg.variants]
+    os.makedirs(base, exist_ok=True)
+    manifest_path = os.path.join(base, "manifest.json")
+    with open(manifest_path, "w") as fh:
+        json.dump({"label": cfg.label,
+                   "variants": [s.label for s in subs]}, fh, indent=2)
+        fh.write("\n")
+    return OutputBundle(out_dir=base, run_paths=[], aggregate_path="",
+                        manifest_path=manifest_path, traces=[], label=cfg.label,
+                        sub_bundles=tuple(subs))
+
+
+def _emit(cfg: ExperimentConfig, out_dir: str, traces: list[ConvergenceTrace],
+          t0: float) -> OutputBundle:
+    """Write the run files, aggregate and manifest of ``cfg``'s ``traces``."""
+    os.makedirs(out_dir, exist_ok=True)
     ext = "csv" if cfg.out_format == "csv" else "json"
     run_paths = []
     for rep, trace in enumerate(traces):
@@ -753,20 +762,12 @@ def emit_bounds_report(
                 "b_grad", "alpha1", "alpha2", "alpha3", "pgd_step_bound",
                 "npg_step_bound"):
         lines.append(f"  {key} = {_fmt(report[key])}")
-    lines.append("gradient certificate")
-    for key, val in report["gradient"].items():
-        if key == "intermediates":
-            for ik, iv in val.items():
-                lines.append(f"    {ik} = {_fmt(iv)}")
-        else:
-            lines.append(f"  {key} = {_fmt(val)}")
-    lines.append("covariance certificate")
-    for key, val in report["covariance"].items():
-        if key == "intermediates":
-            for ik, iv in val.items():
-                lines.append(f"    {ik} = {_fmt(iv)}")
-        elif key == "l_min_prime":
-            lines.append(f"  l_min = {_fmt(val)}")
-        else:
-            lines.append(f"  {key} = {_fmt(val)}")
+    for cert in ("gradient", "covariance"):
+        lines.append(f"{cert} certificate")
+        for key, val in report[cert].items():
+            if key == "intermediates":
+                lines += [f"    {ik} = {_fmt(iv)}" for ik, iv in val.items()]
+            else:  # the covariance certificate's l_min' is printed as l_min
+                name = "l_min" if key == "l_min_prime" else key
+                lines.append(f"  {name} = {_fmt(val)}")
     return "\n".join(lines)

@@ -8,9 +8,11 @@ direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
 zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
 run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
-The loop advances a stack of runs in lockstep; the public functions run a
-stack of one, and the harness runs every repetition of an exact-gradient
-variant as one stack.
+The loop advances a stack of runs in lockstep and yields after each
+iteration; :func:`_round_robin` drives several loops one iteration each in
+turn. The public functions run a stack of one, the harness runs every
+repetition of an exact-gradient variant as one stack, and a grid's
+model-free variants of one repetition as loops driven round-robin.
 """
 from __future__ import annotations
 
@@ -278,8 +280,9 @@ class _Run:
 
 
 def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
-              flavor: str) -> list[ConvergenceTrace]:
-    """The one optimization loop, over a stack of runs in lockstep.
+              flavor: str):
+    """The one optimization loop, over a stack of runs in lockstep: a
+    generator that yields None after each iteration, then the traces.
 
     Run r starts from ``K0s[r]``. Each iteration evaluates the current gains
     of the runs still active in one ``direction.evaluate`` call. A run stops
@@ -337,9 +340,22 @@ def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
         active = [r for r in active if runs[r].reason is None]
         if not active:
             break
-    return [ConvergenceTrace(records=run.records, K_final=np.array(K),
+        yield None
+    yield [ConvergenceTrace(records=run.records, K_final=np.array(K),
                              terminal_reason=run.reason or "max_iters")
             for run, K in zip(runs, Ks)]
+
+
+def _round_robin(loops: list) -> list[list[ConvergenceTrace]]:
+    """Drive :func:`_optimize` loops one iteration each in turn, so that
+    every live loop makes iteration i before any makes i + 1; the traces of
+    each loop, in order."""
+    traces = [None] * len(loops)
+    while None in traces:
+        for j, loop in enumerate(loops):
+            if traces[j] is None:
+                traces[j] = next(loop)
+    return traces
 
 
 def _gradient_step(K, pt, eta):
@@ -354,8 +370,8 @@ def run_mb_pgd(
 
 
 def _mb_pgd(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, _gradient_step,
-                     "pgd")
+    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
+                                   _gradient_step, "pgd")])[0]
 
 
 def _natural_step(K, pt, eta):
@@ -381,8 +397,8 @@ def run_mb_npg(
 
 
 def _mb_npg(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, _natural_step,
-                     "npg")
+    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
+                                   _natural_step, "npg")])[0]
 
 
 def run_mb_gauss_newton(
@@ -405,7 +421,8 @@ def _mb_gauss_newton(plant, K0s, eta, stop) -> list[ConvergenceTrace]:
         return K - 2.0 * eta_i * np.linalg.solve(G, pt.q.E)
 
     schedule = StepSchedule(kind="fixed", eta=eta)
-    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, step, "pgd")
+    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
+                                   step, "pgd")])[0]
 
 
 def run_noisy_gradient_pgd(
@@ -444,7 +461,8 @@ def _noisy_gradient_pgd(plant, K0s, eta, noise_sigma, stop, seeds,
         return K - eta_i * (pt.grad + deltas[pt.run, pt.i])
 
     schedule = StepSchedule(kind="fixed", eta=eta)
-    return _optimize(_Exact(plant, schedule), K0s, schedule, stop, step, "pgd")
+    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
+                                   step, "pgd")])[0]
 
 
 def run_mf_pgd(
@@ -468,6 +486,13 @@ def run_mf_pgd(
     needed only by the adaptive step schedules. ``estimator`` overrides the
     estimator entirely (testing hook) and then ``rollout_cfg`` may be None.
     """
+    return _round_robin([_mf_pgd(oracle, K0, schedule, stop, rollout_cfg, norms,
+                                 c_star, use_vr, n_v, estimator, run_offset)])[0][0]
+
+
+def _mf_pgd(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, use_vr, n_v,
+            estimator, run_offset):
+    """The :func:`_optimize` loop of :func:`run_mf_pgd`."""
 
     def estimate(K, cfg, rid):
         if use_vr:
@@ -475,7 +500,7 @@ def run_mf_pgd(
         return estimate_gradient(oracle, K, cfg, run_id=rid, keep_terms=True), None
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [K0], schedule, stop, _gradient_step, "pgd")[0]
+    return _optimize(direction, [K0], schedule, stop, _gradient_step, "pgd")
 
 
 def run_mf_npg(
@@ -498,6 +523,13 @@ def run_mf_npg(
     supplied, else 1e-8; otherwise the iteration is an estimate failure.
     ``estimator`` is the testing hook of :func:`run_mf_pgd`.
     """
+    return _round_robin([_mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms,
+                                 c_star, estimator, run_offset)])[0][0]
+
+
+def _mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, estimator,
+            run_offset):
+    """The :func:`_optimize` loop of :func:`run_mf_npg`."""
     cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
 
     def estimate(K, cfg, rid):
@@ -511,4 +543,4 @@ def run_mf_npg(
         return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [K0], schedule, stop, step, "npg")[0]
+    return _optimize(direction, [K0], schedule, stop, step, "npg")

@@ -12,7 +12,8 @@ model-free contract the estimators rely on: it draws and rolls out whole
 batches and prices them with :func:`empirical_cost`, the one stage-cost
 formula. A batch is one time-major buffer (l, n, n_x), of noise, then states;
 :meth:`RolloutOracle.rollout_costs` streams a cost-only batch through one
-reused buffer of a chunk of ids, with the whole batch's bytes.
+reused buffer of a chunk of ids, with the whole batch's bytes. The oracles of
+a lockstep stack of runs draw through one :class:`_DrawMemo`.
 """
 from __future__ import annotations
 
@@ -121,12 +122,6 @@ def _seed_words():
     return SeedWords
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """A generator whose PCG64 seeds itself from ``words`` (4 uint64), as
-    from SeedSequence's ``generate_state(4, np.uint64)``."""
-    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Root of the deterministic stream hierarchy.
@@ -201,7 +196,34 @@ class SeedSpec:
         self, run_id: int, rollout_id: int, purpose: Purpose
     ) -> np.random.Generator:
         """A new generator on the substream of one key."""
-        return _generator(self._words(run_id, [rollout_id], purpose)[0])
+        words = self._words(run_id, [rollout_id], purpose)[0]
+        return np.random.Generator(np.random.PCG64(_seed_words()(words)))
+
+
+class _DrawMemo:
+    """The draws of ``seeds`` for the oracles of one lockstep stack, each made
+    once: :meth:`draw` keeps the read-only arrays of the latest run id's
+    ``range`` batches, at most ``_STREAM_BYTES`` in all, and a new run id
+    evicts them. Other ids and :meth:`generator` redraws pass through."""
+
+    def __init__(self, seeds: SeedSpec):
+        self.seeds, self.run_id, self.arrays = seeds, None, {}
+        self.generator = seeds.generator
+
+    def draw(self, run_id: int, rollout_ids, purpose: Purpose, shape) -> np.ndarray:
+        if not isinstance(rollout_ids, range):
+            return self.seeds.draw(run_id, rollout_ids, purpose, shape)
+        if run_id != self.run_id:
+            self.run_id, self.arrays = run_id, {}
+        key = (rollout_ids, purpose, tuple(shape))
+        out = self.arrays.get(key)
+        if out is None:
+            out = self.seeds.draw(run_id, rollout_ids, purpose, shape)
+            out.flags.writeable = False
+            held = sum(a.nbytes for a in self.arrays.values())
+            if held + out.nbytes <= _STREAM_BYTES:
+                self.arrays[key] = out
+        return out
 
 
 @dataclass(frozen=True)
@@ -514,7 +536,8 @@ class RolloutOracle:
             raise ConfigurationError(f"l must be >= 1, got {l}")
         states = np.empty((l, len(rollout_ids), self.n_x)) if out is None else out
         step = _color_step(l, self.n_x)
-        for a in range(0, len(rollout_ids), step):
+        # At l = 1 there are no noise rows to draw.
+        for a in range(0, len(rollout_ids) if l > 1 else 0, step):
             ids = rollout_ids[a:a + step]
             noise = self._seeds.draw(run_id, ids, purpose, (l - 1, self.n_x))
             states[1:, a:a + len(ids)] = (noise @ self._factor_w.T).transpose(1, 0, 2)

@@ -490,11 +490,12 @@ class TestEmpirical:
                            "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, lqrpg; print('numpy.random' in sys.modules)"
+        code = ("import sys, lqrpg; print('numpy.random' in sys.modules, "
+                "'concurrent.futures' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_covariance_by_hand(self):
         states = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -570,6 +571,21 @@ class TestTimeMajorLayout:
         ref, _ = id_major_rollouts(plant, oracle.seeds, Ks, x0s, l, 0, range(n),
                                    Purpose.NOISE)
         assert states.transpose(1, 0, 2).tobytes() == ref.tobytes()
+
+    def test_single_step_batch_draws_no_noise(self, monkeypatch):
+        """At l = 1 a batch has no noise rows, so it makes no NOISE draw."""
+        purposes = []
+        draw = SeedSpec.draw
+        monkeypatch.setattr(SeedSpec, "draw", lambda self, run_id, ids, purpose, shape:
+                            purposes.append(purpose) or draw(self, run_id, ids,
+                                                             purpose, shape))
+        oracle = RolloutOracle(paper3x3(), SeedSpec(0))
+        K = solve_dare(paper3x3()).K_star
+        x0s = oracle.draw_initial_states(0, range(600))
+        states, overflow = oracle.rollout_batch(np.broadcast_to(K, (600, *K.shape)),
+                                                x0s, 1, 0, range(600))
+        assert purposes == [Purpose.INITIAL_STATE]
+        assert states.tobytes() == x0s[None].tobytes() and np.all(overflow == -1)
 
     @pytest.mark.parametrize("n, l", [(1, 1), (2, 9), (257, 100), (600, 9)])
     def test_npg_covariance_matches_id_major_bitwise(self, n, l):
