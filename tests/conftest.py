@@ -7,15 +7,30 @@ import pytest
 from lqrpg import PlantModel, solve_dare
 
 
+def pbh_margin(A: np.ndarray, B: np.ndarray) -> float:
+    """Smallest singular value of [A - lambda I, B] over the eigenvalues
+    |lambda| >= 1 of A (inf if A is Schur stable): the distance of (A, B)
+    from losing stabilizability in the Popov-Belevitch-Hautus test."""
+    eye = np.eye(A.shape[0])
+    return min((np.linalg.svd(np.hstack([A - lam * eye, B]), compute_uv=False)[-1]
+                for lam in np.linalg.eigvals(A) if abs(lam) >= 1.0),
+               default=np.inf)
+
+
 def random_plant(rng: np.random.Generator, n_x: int | None = None,
                  n_u: int | None = None) -> PlantModel:
     """A random well-conditioned plant with positive-definite weights."""
     n_x = n_x or int(rng.integers(1, 5))
     n_u = n_u or int(rng.integers(1, n_x + 1))
-    A = rng.normal(scale=0.6, size=(n_x, n_x))
-    B = rng.normal(scale=1.0, size=(n_x, n_u))
-    # Guard against (numerically) uncontrollable B.
-    B += 0.3 * np.sign(B + 1e-12)
+    while True:
+        A = rng.normal(scale=0.6, size=(n_x, n_x))
+        B = rng.normal(scale=1.0, size=(n_x, n_u))
+        # Guard against (numerically) uncontrollable B.
+        B += 0.3 * np.sign(B + 1e-12)
+        # A barely reachable unstable mode makes K* and Sigma* huge (||Sigma*||
+        # ~1e8), past what solve_dare can certify: redraw such (A, B).
+        if pbh_margin(A, B) >= 0.1:
+            break
 
     def spd(n, lo=0.5, hi=1.5):
         M = rng.normal(size=(n, n))
