@@ -5,21 +5,23 @@ Every random draw comes from a substream keyed by
 no matter how callers parallelize. The substream of a key is the PCG64 stream
 that ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
 purpose))`` seeds, bit for bit; :meth:`SeedSpec.draw` hashes the keys of a
-whole batch of rollout ids at once and lets PCG64 seed itself from each
-id's words. The :class:`RolloutOracle` wraps a
-plant behind an interface that never exposes (A, B, Sigma_w), which is the
-model-free contract the estimators rely on: it draws and rolls out whole
-batches and prices them with :func:`empirical_cost`, the one stage-cost
-formula. A batch is one time-major buffer (l, n, n_x), of noise, then states;
-:meth:`RolloutOracle.rollout_costs` streams a cost-only batch through one
-reused buffer of a chunk of ids, with the whole batch's bytes. The oracles of
-a lockstep stack of runs draw through one :class:`_DrawMemo`.
+whole batch of rollout ids at once, and PCG64's seeding of each, and writes
+each id's state into one generator's ``pcg64_random_t`` (assumed to be
+(state, inc), checked once per call) under one lock across threads. The
+:class:`RolloutOracle` wraps a plant behind an interface that never exposes
+(A, B, Sigma_w), which is the model-free contract the estimators rely on: it
+draws and rolls out whole batches and prices them with
+:func:`empirical_cost`, the one stage-cost formula. A batch is one time-major
+buffer (l, n, n_x), of noise, then states; :meth:`RolloutOracle.rollout_costs`
+streams a cost-only batch through one reused buffer of a chunk of ids, with
+the whole batch's bytes. The oracles of a lockstep stack of runs draw through
+one :class:`_DrawMemo`.
 """
 from __future__ import annotations
 
 import enum
-import functools
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,20 +108,55 @@ def _absorb(pool: np.ndarray, word: np.ndarray, hash_const: int):
     return _mix(pool, h), hash_const
 
 
-@functools.cache
-def _seed_words():
-    """An ISeedSequence that hands PCG64 its 4 precomputed uint64 seed words;
-    made on first use, so that importing lqrpg does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
+# PCG64's 128-bit LCG multiplier (NumPy's pcg64.h), high and low words.
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-    @dataclass
-    class SeedWords(ISeedSequence):
-        words: np.ndarray
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each a·b, from 32-bit limbs (uint64 arrays wrap)."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
-    return SeedWords
+
+def _pcg64_states(words: np.ndarray) -> np.ndarray:
+    """NumPy's pcg64_set_seed of each row (w0, w1, w2, w3) of uint64 words:
+    inc = (w2:w3 << 1) | 1, state = ((inc + w0:w1)·MULT + inc) mod 2^128, as
+    pcg64_random_t's words (state low, state high, inc low, inc high)."""
+    w0, w1, w2, w3 = words.T
+    inc_lo, inc_hi = w3 << 1 | 1, w2 << 1 | w3 >> 63
+    lo = inc_lo + w1
+    hi = inc_hi + w0 + (lo < inc_lo)
+    state_lo = lo * _PCG_MULT_LO + inc_lo
+    state_hi = (_mulhi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+                + inc_hi + (state_lo < inc_lo))
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_view(bit_generator) -> np.ndarray:
+    """The uint64 words of a live PCG64's pcg64_random_t, via its state's 1st field."""
+    import ctypes
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address)
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address.value))
+
+
+def _seeded(state: np.ndarray):
+    """A Generator set in place to a row of :func:`_pcg64_states`, and the view
+    that sets it to another; raises if PCG64 then reports another state."""
+    from numpy.random import PCG64, Generator
+    gen = Generator(PCG64(0))
+    view = _state_view(gen.bit_generator)
+    view[:] = state
+    pcg = gen.bit_generator.state["state"]
+    written = [hi << 64 | lo for lo, hi in state.reshape(2, 2).tolist()]
+    if [pcg["state"], pcg["inc"]] != written:
+        raise RuntimeError("PCG64's pcg64_random_t is not laid out as (state, inc)")
+    return gen, view
+
+
+# Serialises SeedSpec.draw's per-id fills (each releases the GIL) across threads.
+_DRAW_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -130,9 +167,10 @@ class SeedSpec:
     of ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
     purpose))``, bit for bit. NumPy's SeedSequence mixes the master seed and
     run id once per batch; the rest of its hash, the rollout and purpose
-    words of every id, runs here as uint32 array operations. Each id's
-    PCG64 then seeds itself from its 4 hashed words in C; no SeedSequence is
-    built per id.
+    words of every id, runs here as uint32 array operations, and so does
+    PCG64's seeding. One generator per call is set to each id's state in
+    place, assuming ``pcg64_random_t`` is (state, inc) as little-endian
+    128-bit words; each call raises if its first write disagrees with ``state``.
     """
 
     master_seed: int
@@ -185,19 +223,21 @@ class SeedSpec:
     def draw(self, run_id: int, rollout_ids, purpose: Purpose, shape) -> np.ndarray:
         """Standard normals (len(rollout_ids), *shape): row j is the first
         normals of id j's substream of (run_id, purpose)."""
-        out = np.empty((len(rollout_ids), *shape))
-        # One seed holder per call, handed each id's words in turn.
-        seed, pcg64, gen = _seed_words()(None), np.random.PCG64, np.random.Generator
-        for seed.words, row in zip(self._words(run_id, rollout_ids, purpose), out):
-            gen(pcg64(seed)).standard_normal(out=row)
+        states = _pcg64_states(self._words(run_id, rollout_ids, purpose))
+        out = np.empty((len(states), *shape))
+        if len(out):
+            gen, state = _seeded(states[0])
+            with _DRAW_LOCK:
+                for state[:], row in zip(states, out):
+                    gen.standard_normal(out=row)
         return out
 
     def generator(
         self, run_id: int, rollout_id: int, purpose: Purpose
     ) -> np.random.Generator:
         """A new generator on the substream of one key."""
-        words = self._words(run_id, [rollout_id], purpose)[0]
-        return np.random.Generator(np.random.PCG64(_seed_words()(words)))
+        words = self._words(run_id, [rollout_id], purpose)
+        return _seeded(_pcg64_states(words)[0])[0]
 
 
 class _DrawMemo:

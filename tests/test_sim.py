@@ -1,7 +1,9 @@
+import ctypes
 import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -28,7 +30,14 @@ from lqrpg import (
     solve_dare,
 )
 from lqrpg.plants import PlantModel
-from lqrpg.sim import _SEED_CHUNK, _psd_factor, default_initial_state_bound
+import lqrpg.sim
+from lqrpg.sim import (
+    _SEED_CHUNK,
+    _pcg64_states,
+    _psd_factor,
+    _seeded,
+    default_initial_state_bound,
+)
 from conftest import random_plant
 
 
@@ -104,6 +113,121 @@ class TestSeeding:
             SeedSpec(0).draw(-1, [], Purpose.NOISE, (2, 3))
         with pytest.raises(ConfigurationError):
             SeedSpec(0).draw(0, [3, -2], Purpose.NOISE, (2, 3))
+
+
+def pcg64_from_words(words):
+    """NumPy's own PCG64 seeded from 4 given uint64 seed words."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.array(words, dtype=np.uint64)
+
+    return np.random.PCG64(Words())
+
+
+def assert_seeds_like_pcg64(words, state):
+    """A generator set in place to ``state``, the row of ``_pcg64_states``
+    for ``words``, has PCG64's state and normals."""
+    ref = pcg64_from_words(words)
+    gen, _ = _seeded(state)
+    assert gen.bit_generator.state == ref.state
+    np.testing.assert_array_equal(gen.standard_normal(7),
+                                  np.random.Generator(ref).standard_normal(7))
+
+
+class TestInPlaceSeeding:
+    def test_corner_words_match_pcg64(self):
+        # Every carry of inc = (w2:w3 << 1) | 1, of inc + w0:w1 and of the
+        # multiply-add: each word at 0, 1, its top bit alone, or all ones.
+        words = list(itertools.product([0, 1, 2**63, 2**64 - 1], repeat=4))
+        states = _pcg64_states(np.array(words, dtype=np.uint64))
+        assert states.shape == (256, 4)
+        for w, state in zip(words, states):
+            assert_seeds_like_pcg64(w, state)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=4, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_random_words_match_pcg64(self, words):
+        states = _pcg64_states(np.array([words], dtype=np.uint64))
+        assert_seeds_like_pcg64(words, states[0])
+
+    @given(key_words(0), key_words(0), key_words(0), st.sampled_from(Purpose))
+    @settings(max_examples=50, deadline=None)
+    def test_generator_matches_pcg64(self, master, run_id, rollout_id, purpose):
+        seeds = SeedSpec(master)
+        words = seeds._words(run_id, [rollout_id], purpose)[0]
+        assert (seeds.generator(run_id, rollout_id, purpose).bit_generator.state
+                == pcg64_from_words(words).state)
+
+    def test_draw_builds_one_generator_per_call(self, monkeypatch):
+        built = []
+
+        class CountingPCG64(np.random.PCG64):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        SeedSpec(5).draw(1, range(300), Purpose.NOISE, (2, 3))
+        assert len(built) == 1
+
+    def test_shifted_state_view_raises(self, monkeypatch):
+        # The view starts one word before pcg64_random_t, so the words land
+        # one place off. The struct is a field of the PCG64 object after its
+        # pcg64_state, so that word is the object's own memory; one word
+        # forward would write past the object's end.
+        real = lqrpg.sim._state_view
+
+        def shifted(bit_generator):
+            address = real(bit_generator).ctypes.data - 8
+            return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+
+        monkeypatch.setattr(lqrpg.sim, "_state_view", shifted)
+        seeds = SeedSpec(5)
+        with pytest.raises(RuntimeError, match="pcg64_random_t"):
+            seeds.draw(1, range(10), Purpose.NOISE, (2, 3))
+        with pytest.raises(RuntimeError, match="pcg64_random_t"):
+            seeds.generator(1, 0, Purpose.NOISE)
+
+    @pytest.mark.parametrize("same_keys", [True, False])
+    def test_threads_drawing_at_once_match_one_thread(self, same_keys):
+        seeds = SeedSpec(9)
+
+        def work(run_id):
+            out = []
+            for _ in range(3):
+                out.append(seeds.draw(run_id, range(400), Purpose.NOISE, (99, 3)))
+                out.append(seeds.generator(run_id, 7, Purpose.BASELINE)
+                           .standard_normal(5))
+                out.append(seeds.draw(run_id, range(400, 900),
+                                      Purpose.PERTURBATION, (3, 3)))
+            return out
+
+        # More threads than cores, switching as often as the interpreter can.
+        run_ids = [4, 4, 4, 4] if same_keys else [4, 5, 6, 7]
+        expected = [work(r) for r in run_ids]
+        results = [None] * len(run_ids)
+        start = threading.Barrier(len(run_ids))
+
+        def thread(i):
+            start.wait()
+            results[i] = work(run_ids[i])
+
+        threads = [threading.Thread(target=thread, args=(i,))
+                   for i in range(len(run_ids))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, ref in zip(results, expected):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
 
 
 class TestSpherePerturbation:
