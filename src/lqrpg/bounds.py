@@ -188,7 +188,9 @@ def state_bound(
         raise ConfigurationError(f"delta_x must be in (0,1), got {delta_x}")
     if t < 1:
         raise ConfigurationError(f"t must be >= 1, got {t}")
-    denom = 1.0 - (1.0 - delta_x) ** (1.0 / t)
+    # 1 - (1 - delta_x)^(1/t), evaluated without cancellation: the plain
+    # form rounds to 0 once t passes ~1e16.
+    denom = -math.expm1(math.log1p(-delta_x) / t)
     if mode == "paper":
         w_bar = trace_sigma_w / denom
     elif mode == "chebyshev":

@@ -31,6 +31,7 @@ from .harness import (
     parse_config,
     run_monte_carlo,
 )
+from .optimizers import OPTIMIZERS
 from .sim import RolloutOracle, SeedSpec
 
 EXIT_OK = 0
@@ -136,8 +137,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_run(args, kind: str) -> int:
     cfg = _load(args)
-    wanted = ("mb_pgd", "mb_npg", "mb_gauss_newton", "noisy_pgd") \
-        if kind == "mb" else ("mf_pgd", "mf_npg")
+    wanted = tuple(name for name, k in OPTIMIZERS.items() if k == kind)
     if cfg.optimizer not in wanted:
         raise ConfigurationError(
             f"optimizer {cfg.optimizer!r} is not valid for {kind}-run "

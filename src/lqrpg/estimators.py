@@ -188,13 +188,11 @@ def estimate_gradient_vr(
     ``rollout_base = k * n_v``, from n_v unperturbed rollouts started at the
     same initial state.
     """
-    K = np.asarray(K, dtype=float)
-    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
-    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
-    meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
-    baselines, bad = _baselines(oracle, K, x0s, n_v, cfg.l, run_id, 0)
+    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
+    baselines, bad = _baselines(oracle, np.asarray(K, dtype=float), x0s, n_v, cfg.l,
+                                run_id, 0)
     if bad is None:
-        costs, bad = oracle.rollout_costs(K + U, x0s, cfg.l, run_id, range(cfg.n))
+        costs, bad = oracle.rollout_costs(Ks, x0s, cfg.l, run_id, range(cfg.n))
     if bad is not None:
         return _failed(oracle, bad, meta)[0]
     return _gradient(U, costs, baselines, cfg, keep_terms, meta)

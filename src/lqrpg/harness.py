@@ -17,7 +17,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,12 +37,14 @@ from .optimizers import (
     ConvergenceTrace,
     StepSchedule,
     StopRule,
-    _mb_gauss_newton,
-    _mb_npg,
-    _mb_pgd,
+    OPTIMIZERS,
+    _exact,
+    _gauss_newton_schedule,
+    _gauss_newton_step,
     _mf_npg,
     _mf_pgd,
-    _noisy_gradient_pgd,
+    _natural_step,
+    _pgd,
     _round_robin,
 )
 from . import plants as _plants
@@ -64,11 +66,6 @@ __all__ = [
 
 CSV_COLUMNS = ["run_id", "iteration", "cost", "rel_subopt", "step_size",
                "grad_norm", "status"]
-
-_OPTIMIZERS = ("mb_pgd", "mb_npg", "mb_gauss_newton", "mf_pgd", "mf_npg",
-               "noisy_pgd")
-# Exact-gradient optimizers: their repetitions run in lockstep.
-_LOCKSTEP = ("mb_pgd", "mb_npg", "mb_gauss_newton", "noisy_pgd")
 
 _TOP_KEYS = {"plant", "optimizer", "schedule", "rollout", "gain",
              "monte_carlo", "output", "label"}
@@ -258,8 +255,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     use_vr, n_v, noise_sigma = False, 1, 0.0
     if opt is not None:
         name = opt.get("name")
-        if name not in _OPTIMIZERS:
-            v.add("optimizer.name", f"must be one of {_OPTIMIZERS}, got {name!r}")
+        if not isinstance(name, str) or name not in OPTIMIZERS:
+            v.add("optimizer.name", f"must be one of {tuple(OPTIMIZERS)}, got {name!r}")
+            name = None
         use_vr = opt.get("use_vr", False)
         if not isinstance(use_vr, bool):
             v.add("optimizer.use_vr", f"must be true or false, got {use_vr!r}")
@@ -284,12 +282,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         try:
             if None not in params.values():
                 schedule = StepSchedule(kind=sched.get("kind", "fixed"), **params)
+            if schedule is not None and name == "mb_gauss_newton":
+                _gauss_newton_schedule(schedule)
         except ConfigurationError as exc:
             v.add("schedule", str(exc))
+        # Without a schedule section, optimizer.eta is the schedule's eta.
+        eta = sched.get("eta")
+        if "eta" in (opt or {}) and "schedule" in data and opt["eta"] != eta:
+            v.add("optimizer.eta", f"{opt['eta']!r} disagrees with schedule.eta "
+                                   f"{eta!r}, which sets the step")
+    if name is not None and noise_sigma and name != "noisy_pgd":
+        v.add("optimizer.noise_sigma", f"only used by noisy_pgd, not {name!r}")
+    if name is not None and use_vr is True and name != "mf_pgd":
+        v.add("optimizer.use_vr", f"only used by mf_pgd, not {name!r}")
 
     rollout = None
     if data.get("rollout") is None:
-        if name in ("mf_pgd", "mf_npg"):
+        if OPTIMIZERS.get(name) == "mf":
             v.add("rollout", "model-free runs need rollout parameters {n, l, r, L0}")
     elif (roll := _section(data, "rollout", {"n", "l", "r", "L0"}, v)) is not None:
         params = {k: _parse_number(roll.get(k), f"rollout.{k}", v, integer=k != "r")
@@ -393,20 +402,14 @@ def _run_lockstep(cfg: ExperimentConfig) -> list[ConvergenceTrace]:
     repetition rep's noise substreams are keyed by ``rep``. A noise-free
     variant's repetitions are the same run: it runs once and its trace
     stands for each repetition."""
-    noisy = cfg.optimizer == "noisy_pgd" and cfg.noise_sigma > 0
-    m = cfg.repetitions if noisy else 1
-    K0s = [cfg.K0] * m
-    if cfg.optimizer == "mb_pgd":
-        traces = _mb_pgd(cfg.plant, K0s, cfg.schedule, cfg.stop)
-    elif cfg.optimizer == "mb_npg":
-        traces = _mb_npg(cfg.plant, K0s, cfg.schedule, cfg.stop)
+    m = cfg.repetitions if cfg.noise_sigma > 0 else 1
+    args = (cfg.plant, [cfg.K0] * m, cfg.schedule, cfg.stop)
+    if cfg.optimizer == "mb_npg":
+        traces = _exact(*args, _natural_step, "npg")
     elif cfg.optimizer == "mb_gauss_newton":
-        traces = _mb_gauss_newton(cfg.plant, K0s, cfg.schedule.eta, cfg.stop)
-    else:
-        traces = _noisy_gradient_pgd(
-            cfg.plant, K0s, cfg.schedule.eta, cfg.noise_sigma, cfg.stop,
-            SeedSpec(cfg.master_seed), range(m),
-        )
+        traces = _exact(*args, _gauss_newton_step(cfg.plant), "pgd")
+    else:  # mb_pgd, and noisy_pgd, the only one with noise
+        traces = _pgd(*args, cfg.noise_sigma, SeedSpec(cfg.master_seed), range(m))
     return traces * (cfg.repetitions // m)
 
 
@@ -520,7 +523,7 @@ def run_monte_carlo(
     the thread count. A model-free manifest's time includes its stacks.
     """
     t0 = time.monotonic()
-    free = [v for v in cfg.variants or (cfg,) if v.optimizer not in _LOCKSTEP]
+    free = [v for v in cfg.variants or (cfg,) if OPTIMIZERS[v.optimizer] == "mf"]
     reps = max((v.repetitions for v in free), default=0)
     workers = min(os.cpu_count() or 1, reps) if threads == "auto" else int(threads)
     stacks = [[v for v in free if rep < v.repetitions] for rep in range(reps)]
@@ -535,7 +538,7 @@ def run_monte_carlo(
     traces = iter([[done[rep].pop(0) for rep in range(v.repetitions)] for v in free])
 
     def emit(var, out_dir):
-        if var.optimizer not in _LOCKSTEP:
+        if OPTIMIZERS[var.optimizer] == "mf":
             return _emit(var, out_dir, next(traces), t0)
         start = time.monotonic()
         return _emit(var, out_dir, _run_lockstep(var), start)
@@ -739,17 +742,8 @@ def emit_bounds_report(
     cov_cert = covariance_certificate(norms, cost_value, cov_budget, L0,
                                       c_star=c_star)
     report: dict = {
-        "cost_value": cost_value,
-        "c_star": c_star,
-        "h": pc.h,
-        "h_sigma": pc.h_sigma,
-        "h_cost": pc.h_cost,
-        "h_grad": pc.h_grad,
-        "b_gain": pc.b_gain,
-        "b_grad": pc.b_grad,
-        "alpha1": pc.alpha1,
-        "alpha2": pc.alpha2,
-        "alpha3": pc.alpha3,
+        "cost_value": cost_value,  # the constants' c
+        **{k: val for k, val in asdict(pc).items() if k != "c"},
         "pgd_step_bound": pgd_step_bound(norms, cost_value, c_star),
         "npg_step_bound": npg_step_bound(norms, cost_value),
         "gradient": grad_cert.as_dict(),
@@ -757,11 +751,9 @@ def emit_bounds_report(
     }
     if fmt == "json":
         return _json_safe(report)
-    lines = ["certificate report", f"  cost_value = {_fmt(cost_value)}"]
-    for key in ("c_star", "h", "h_sigma", "h_cost", "h_grad", "b_gain",
-                "b_grad", "alpha1", "alpha2", "alpha3", "pgd_step_bound",
-                "npg_step_bound"):
-        lines.append(f"  {key} = {_fmt(report[key])}")
+    lines = ["certificate report"]
+    lines += [f"  {key} = {_fmt(val)}" for key, val in report.items()
+              if not isinstance(val, dict)]
     for cert in ("gradient", "covariance"):
         lines.append(f"{cert} certificate")
         for key, val in report[cert].items():

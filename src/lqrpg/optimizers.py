@@ -2,8 +2,9 @@
 
 Every optimizer is one loop, K <- step(K, direction, eta), driven by a
 direction object. The exact direction evaluates the closed-loop quantities
-(model-based gradient descent, natural gradient, Gauss-Newton, and the
-noisy-gradient loop, whose step adds seeded Gaussian noise). The estimated
+(model-based gradient descent, natural gradient and Gauss-Newton, and the
+noisy-gradient loop, gradient descent whose step adds seeded Gaussian
+noise), so each is a step rule on the same direction. The estimated
 direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
 zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
@@ -48,6 +49,10 @@ __all__ = [
 DIVERGENCE_CEILING_FACTOR = 1e6
 # A model-free run ends after this many consecutive failed iterations.
 MAX_CONSECUTIVE_FAILURES = 5
+# Every optimizer by config name, with its run command: "mb" ones follow the
+# exact gradient, all repetitions as one stack; "mf" ones estimate it.
+OPTIMIZERS = {"mb_pgd": "mb", "mb_npg": "mb", "mb_gauss_newton": "mb",
+              "mf_pgd": "mf", "mf_npg": "mf", "noisy_pgd": "mb"}
 
 
 @dataclass(frozen=True)
@@ -201,9 +206,7 @@ class _Exact:
     def __init__(self, plant: PlantModel, schedule: StepSchedule):
         self.plant = plant
         self.c_star = self.step_c_star = solve_dare(plant).C_star
-        self.norms = None
-        if schedule.kind != "fixed":
-            self.norms = PlantNorms.from_plant(plant)
+        self.norms = None if schedule.kind == "fixed" else PlantNorms.from_plant(plant)
 
     def start(self, K0s) -> list[np.ndarray]:
         return [self.plant.check_gain(K0) for K0 in K0s]
@@ -358,20 +361,34 @@ def _round_robin(loops: list) -> list[list[ConvergenceTrace]]:
     return traces
 
 
+def _exact(plant, K0s, schedule, stop, step, flavor) -> list[ConvergenceTrace]:
+    """Traces of exact-gradient runs from ``K0s``, each moved by ``step``."""
+    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
+                                   step, flavor)])[0]
+
+
 def _gradient_step(K, pt, eta):
     return K - eta * pt.grad
 
 
-def run_mb_pgd(
-    plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
-) -> ConvergenceTrace:
-    """Exact policy gradient descent K <- K - eta * grad C(K)."""
-    return _mb_pgd(plant, [K0], schedule, stop)[0]
+def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
+         run_ids=()) -> list[ConvergenceTrace]:
+    """Gradient descent on the exact gradient plus i.i.d. N(0, noise_sigma^2)
+    noise, which run r of the stack draws from the substreams of
+    ``run_ids[r]``; at ``noise_sigma`` 0, exact gradient descent, no draws."""
+    if noise_sigma < 0:
+        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if noise_sigma == 0:
+        return _exact(plant, K0s, schedule, stop, _gradient_step, "pgd")
+    # Iteration i's noise is its (run_id, i) substream; one draw per run.
+    deltas = np.array([noise_sigma * seeds.draw(
+        run_id, range(stop.max_iters), Purpose.PERTURBATION,
+        (plant.n_u, plant.n_x)) for run_id in run_ids])
 
+    def step(K, pt, eta):
+        return K - eta * (pt.grad + deltas[pt.run, pt.i])
 
-def _mb_pgd(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
-                                   _gradient_step, "pgd")])[0]
+    return _exact(plant, K0s, schedule, stop, step, "pgd")
 
 
 def _natural_step(K, pt, eta):
@@ -385,6 +402,27 @@ def _natural_step(K, pt, eta):
     return direct
 
 
+def _gauss_newton_step(plant):
+    """The Gauss-Newton step rule K <- K - 2 eta (R + B'PB)^{-1} E_K."""
+    return lambda K, pt, eta: K - 2.0 * eta * np.linalg.solve(
+        plant.R + plant.B.T @ pt.q.P @ plant.B, pt.q.E)
+
+
+def _gauss_newton_schedule(schedule: StepSchedule) -> StepSchedule:
+    """``schedule`` if Gauss-Newton may take it: a fixed step 0 < eta <= 1/2."""
+    if schedule.kind != "fixed" or not 0.0 < schedule.eta <= 0.5:
+        raise ConfigurationError("Gauss-Newton requires a fixed step 0 < eta <= 1/2, "
+                                 f"got {schedule.kind} eta={schedule.eta}")
+    return schedule
+
+
+def run_mb_pgd(
+    plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
+) -> ConvergenceTrace:
+    """Exact policy gradient descent K <- K - eta * grad C(K)."""
+    return _pgd(plant, [K0], schedule, stop)[0]
+
+
 def run_mb_npg(
     plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
 ) -> ConvergenceTrace:
@@ -393,12 +431,7 @@ def run_mb_npg(
     The update equals K - eta * grad C(K) Sigma_K^{-1}; both forms are
     evaluated and must agree to 1e-10, which guards the Lyapunov solves.
     """
-    return _mb_npg(plant, [K0], schedule, stop)[0]
-
-
-def _mb_npg(plant, K0s, schedule, stop) -> list[ConvergenceTrace]:
-    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
-                                   _natural_step, "npg")])[0]
+    return _exact(plant, [K0], schedule, stop, _natural_step, "npg")[0]
 
 
 def run_mb_gauss_newton(
@@ -409,20 +442,8 @@ def run_mb_gauss_newton(
     With eta = 1/2 each step is exactly the policy-improvement map
     -(R + B'PB)^{-1} B'PA.
     """
-    return _mb_gauss_newton(plant, [K0], eta, stop)[0]
-
-
-def _mb_gauss_newton(plant, K0s, eta, stop) -> list[ConvergenceTrace]:
-    if not (0.0 < eta <= 0.5):
-        raise ConfigurationError(f"Gauss-Newton requires 0 < eta <= 1/2, got {eta}")
-
-    def step(K, pt, eta_i):
-        G = plant.R + plant.B.T @ pt.q.P @ plant.B
-        return K - 2.0 * eta_i * np.linalg.solve(G, pt.q.E)
-
-    schedule = StepSchedule(kind="fixed", eta=eta)
-    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
-                                   step, "pgd")])[0]
+    schedule = _gauss_newton_schedule(StepSchedule(kind="fixed", eta=eta))
+    return _exact(plant, [K0], schedule, stop, _gauss_newton_step(plant), "pgd")[0]
 
 
 def run_noisy_gradient_pgd(
@@ -436,33 +457,8 @@ def run_noisy_gradient_pgd(
 ) -> ConvergenceTrace:
     """Gradient descent on the exact gradient plus i.i.d. Gaussian noise:
     K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2)."""
-    return _noisy_gradient_pgd(plant, [K0], eta, noise_sigma, stop, seeds,
-                               [run_id])[0]
-
-
-def _noisy_gradient_pgd(plant, K0s, eta, noise_sigma, stop, seeds,
-                        run_ids) -> list[ConvergenceTrace]:
-    """Run r of the stack draws its noise from the substreams of
-    ``run_ids[r]``."""
-    if not eta > 0:
-        raise ConfigurationError(f"eta must be positive, got {eta}")
-    if noise_sigma < 0:
-        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-
-    # Iteration i's noise is its (run_id, i) substream, drawn in one batch
-    # per run.
-    deltas = np.zeros((len(run_ids), stop.max_iters))
-    if noise_sigma > 0:
-        deltas = np.array([noise_sigma * seeds.draw(
-            run_id, range(stop.max_iters), Purpose.PERTURBATION,
-            (plant.n_u, plant.n_x)) for run_id in run_ids])
-
-    def step(K, pt, eta_i):
-        return K - eta_i * (pt.grad + deltas[pt.run, pt.i])
-
-    schedule = StepSchedule(kind="fixed", eta=eta)
-    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
-                                   step, "pgd")])[0]
+    return _pgd(plant, [K0], StepSchedule(kind="fixed", eta=eta), stop,
+                noise_sigma, seeds, [run_id])[0]
 
 
 def run_mf_pgd(

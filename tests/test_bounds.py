@@ -11,9 +11,11 @@ from lqrpg import (
     ErrorBudget,
     PlantNorms,
     covariance_certificate,
+    emit_bounds_report,
     gradient_certificate,
     iteration_counts,
     npg_step_bound,
+    paper3x3,
     perturbation_constants,
     pgd_step_bound,
     required_accuracies,
@@ -85,6 +87,24 @@ class TestStateBound:
     def test_single_step(self):
         sb = state_bound(2.0, 1, 1.0, 0.5, mode="paper")
         assert sb.value == pytest.approx(2.0 + 1.0 / 0.5)
+
+    def test_long_horizon_stays_finite(self):
+        # 1 - (1 - delta)^(1/t) ~ -log(1 - delta) / t, which the plain
+        # power rounds to 0 past t ~ 1e16.
+        for t in (10, 10**12, 10**17, 10**30):
+            sb = state_bound(0.0, t, 1.0, 0.1)
+            assert math.isfinite(sb.value)
+            assert sb.w_bar == pytest.approx(t / -math.log1p(-0.1), rel=1e-6 + 1.0 / t)
+
+    @pytest.mark.parametrize("cost", [2.0, 50.0])
+    def test_paper3x3_report_is_finite_at_high_cost(self, cost):
+        report = emit_bounds_report(paper3x3(), cost, ErrorBudget.even_split(0.4, 0.3),
+                                    fmt="json")
+        for cert in ("gradient", "covariance"):
+            values = [*report[cert].values(), *report[cert]["intermediates"].values()]
+            floats = [v for v in values if isinstance(v, float)]
+            # The rounded-up sizes are ints, which are finite.
+            assert len(floats) > 5 and all(math.isfinite(v) for v in floats)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ConfigurationError):

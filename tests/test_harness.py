@@ -226,6 +226,28 @@ class TestMonteCarlo:
         assert digests == ["29e34c985b9c20e1", "0534e0c9089aa343",
                            "2cd9b021a542e748", "e40ac4d122ee816c"]
 
+    def test_noisy_pgd_follows_adaptive_schedule(self, tmp_path):
+        """noisy_pgd takes its schedule's steps, here a / (b + c Tr P) with
+        Tr P read as cost / Tr(Sigma_w), also through mb-run."""
+        data = base_config(**{
+            "optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.05,
+            "monte_carlo.repetitions": 2,
+            "schedule": {"kind": "adaptive_empirical", "a": 0.3, "b": 1, "c": 2},
+        })
+        cfg = config_from_dict(data)
+        bundle = run_monte_carlo(cfg, out_dir=str(tmp_path / "run"))
+        tr_w = float(np.trace(cfg.plant.Sigma_w))
+        for trace in bundle.traces:
+            steps = [r.step for r in trace.records[:-1]]
+            assert len(steps) == cfg.stop.max_iters
+            assert steps == pytest.approx(
+                [0.3 / (1 + 2 * r.cost / tr_w) for r in trace.records[:-1]], rel=1e-12)
+            assert len(set(steps)) > 1
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert main(["mb-run", "--config", path, "--out", str(tmp_path / "cli")]) == EXIT_OK
+
     def test_repetitions_differ_from_each_other(self, tmp_path):
         data = base_config(**{
             "optimizer.name": "noisy_pgd", "optimizer.noise_sigma": 0.1,
@@ -405,6 +427,32 @@ class TestCli:
          "gain.K0: not used with a preset"),
         ("validate", {"gain": {"preset": "zero", "q_scale": 3.0}},
          "gain.q_scale: only used with preset 'detuned_lqr'"),
+        ("validate", {"optimizer.eta": 0.2},
+         "optimizer.eta: 0.2 disagrees with schedule.eta 0.1, which sets the step"),
+        ("validate", {"optimizer.eta": 0.2, "schedule": {
+            "kind": "adaptive_empirical", "a": 0.1, "b": 1, "c": 1}},
+         "optimizer.eta: 0.2 disagrees with schedule.eta None"),
+        ("mb-run", {"optimizer.noise_sigma": 0.5},
+         "optimizer.noise_sigma: only used by noisy_pgd, not 'mb_pgd'"),
+        ("validate", {"optimizer.name": "mb_gauss_newton", "schedule.eta": 0.3,
+                      "optimizer.noise_sigma": 0.5},
+         "optimizer.noise_sigma: only used by noisy_pgd, not 'mb_gauss_newton'"),
+        ("validate", {"optimizer.use_vr": True},
+         "optimizer.use_vr: only used by mf_pgd, not 'mb_pgd'"),
+        ("validate", {"optimizer.name": "mf_npg", "optimizer.use_vr": True,
+                      "rollout": {"n": 10, "l": 10, "r": 0.1}},
+         "optimizer.use_vr: only used by mf_pgd, not 'mf_npg'"),
+        ("validate", {"optimizer.name": "mb_gauss_newton", "schedule": {
+            "kind": "adaptive_empirical", "a": 0.1, "b": 1, "c": 1}},
+         "schedule: Gauss-Newton requires a fixed step 0 < eta <= 1/2, "
+         "got adaptive_empirical eta=None"),
+        ("validate", {"optimizer.name": "mb_gauss_newton", "schedule": {
+            "kind": "adaptive_empirical", "eta": 0.3, "a": 0.1, "b": 1, "c": 1}},
+         "schedule: Gauss-Newton requires a fixed step 0 < eta <= 1/2, "
+         "got adaptive_empirical eta=0.3"),
+        ("validate", {"optimizer.name": "mb_gauss_newton", "schedule.eta": 0.7},
+         "schedule: Gauss-Newton requires a fixed step 0 < eta <= 1/2, "
+         "got fixed eta=0.7"),
     ], ids=["q_scale_text", "q_scale_infinite", "negative_seed", "use_vr_text",
             "n_v_text", "n_v_zero", "noise_sigma_text", "noise_sigma_negative",
             "max_iters_fraction", "rollout_n_fraction",
@@ -412,7 +460,11 @@ class TestCli:
             "sigma0_scale_text", "sigma0_scale_scalar_s1", "scale_inline_matrices",
             "plant_without_L0", "eta_text", "eta_infinite", "b_nan",
             "repetitions_fraction", "repetitions_bool", "master_seed_fraction",
-            "gain_unknown_key", "gain_preset_and_K0", "q_scale_without_detuned"])
+            "gain_unknown_key", "gain_preset_and_K0", "q_scale_without_detuned",
+            "eta_disagrees", "eta_with_adaptive_schedule", "noise_sigma_mb_pgd",
+            "noise_sigma_gauss_newton", "use_vr_mb_pgd", "use_vr_mf_npg",
+            "gauss_newton_adaptive", "gauss_newton_adaptive_with_eta",
+            "gauss_newton_eta_too_large"])
     def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
         path = self.write(tmp_path, base_config(**overrides))
         argv = {"validate": ["validate", path],

@@ -30,7 +30,8 @@ from lqrpg import (
     scalar_s1,
     solve_dare,
 )
-from lqrpg.optimizers import _mb_gauss_newton, _mb_npg, _mb_pgd, _noisy_gradient_pgd
+from lqrpg.optimizers import (_exact, _gauss_newton_schedule, _gauss_newton_step,
+                               _natural_step, _pgd)
 from lqrpg.plants import PlantModel
 from conftest import assert_same_trace, random_plant, random_stabilizing_gain
 
@@ -422,16 +423,19 @@ class TestLockstep:
                                       "noisy_pgd"])
     def test_stack_equals_single_runs_bitwise(self, name):
         K0s, stop, sched = self.K0S, self.STOP, self.SCHED
+        gauss_newton = _gauss_newton_schedule(StepSchedule(kind="fixed", eta=0.3))
         runs = {
-            "mb_pgd": (lambda: _mb_pgd(S1, K0s, sched, stop),
+            "mb_pgd": (lambda: _pgd(S1, K0s, sched, stop),
                        lambda r: run_mb_pgd(S1, K0s[r], sched, stop)),
-            "mb_npg": (lambda: _mb_npg(S1, K0s, sched, stop),
+            "mb_npg": (lambda: _exact(S1, K0s, sched, stop, _natural_step, "npg"),
                        lambda r: run_mb_npg(S1, K0s[r], sched, stop)),
-            "mb_gauss_newton": (lambda: _mb_gauss_newton(S1, K0s, 0.3, stop),
-                                lambda r: run_mb_gauss_newton(S1, K0s[r], 0.3, stop)),
+            "mb_gauss_newton": (
+                lambda: _exact(S1, K0s, gauss_newton, stop, _gauss_newton_step(S1),
+                               "pgd"),
+                lambda r: run_mb_gauss_newton(S1, K0s[r], 0.3, stop)),
             "noisy_pgd": (
-                lambda: _noisy_gradient_pgd(S1, K0s, 0.1, 1.0, stop, SeedSpec(3),
-                                            range(10, 10 + len(K0s))),
+                lambda: _pgd(S1, K0s, sched, stop, 1.0, SeedSpec(3),
+                             range(10, 10 + len(K0s))),
                 lambda r: run_noisy_gradient_pgd(S1, K0s[r], 0.1, 1.0, stop,
                                                  SeedSpec(3), run_id=10 + r)),
         }
@@ -445,4 +449,4 @@ class TestLockstep:
 
     def test_unstable_start_in_stack_raises(self):
         with pytest.raises(ConfigurationError, match="K0 is not stabilizing"):
-            _mb_pgd(S1, [K_ZERO, np.array([[2.0]])], self.SCHED, self.STOP)
+            _pgd(S1, [K_ZERO, np.array([[2.0]])], self.SCHED, self.STOP)
