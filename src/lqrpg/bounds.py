@@ -3,13 +3,15 @@
 Pure functions of plant norms, a cost value c, and an error/probability
 budget. The formulas are evaluated verbatim, with no tightening; every
 intermediate (the alpha constants, the sample-cost ceilings C_bar and
-friends) is retained on the returned objects for inspection. Rollout-count
-formulas return the raw real value and its integer ceiling side by side.
+friends) is retained on the returned objects for inspection. Every rollout
+count (N1, N2, N3, n'_min, n~_min) is one matrix-Bernstein count,
+``_bernstein``, and every rollout-cost ceiling one ``_cost_ceiling``; each
+count is returned as its raw real value and its integer ceiling side by side.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -89,11 +91,13 @@ class PerturbationConstants:
     alpha3: float
 
 
-def _require_cost(c: float, c_star: float) -> None:
-    if not c > 0:
-        raise ConfigurationError(f"cost value must be positive, got {c}")
+def _require_cost(norms: PlantNorms, c: float, c_star: float) -> None:
+    if not 0 < c < math.inf:
+        raise ConfigurationError(f"cost value must be positive and finite, got {c}")
     if c < c_star:
         raise ConfigurationError(f"cost value {c} below optimal cost {c_star}")
+    if norms.lam_Sigma_w <= 0:
+        raise ConfigurationError("certificates require positive-definite Sigma_w")
 
 
 def perturbation_constants(
@@ -104,10 +108,8 @@ def perturbation_constants(
     c_star defaults to 0, which only enlarges the bounds (conservative) when
     the optimal cost is unknown.
     """
-    _require_cost(c, c_star)
+    _require_cost(norms, c, c_star)
     lam_q, lam_w = norms.lam_Q, norms.lam_Sigma_w
-    if lam_w <= 0:
-        raise ConfigurationError("certificates require positive-definite Sigma_w")
     nB, nR, nA = norms.norm_B, norms.norm_R, norms.norm_A
 
     h = lam_w * lam_q / (8.0 * c * nB)
@@ -118,20 +120,15 @@ def perturbation_constants(
     r_plus = nR + nB**2 * c / lam_w
     b_gain = (math.sqrt(gap * r_plus / lam_w) + nB * nA * c / lam_w) / norms.lam_R
 
-    h_cost = (
-        6.0
-        * (c / (lam_w * lam_q)) ** 2
-        * (2.0 * b_gain**2 * nR * nB + b_gain * nR)
-        * norms.trace_Sigma_w
-    )
-    b_grad = math.sqrt(4.0 * (c / lam_q) ** 2 * gap / lam_w * r_plus)
-
-    alpha1 = 2.0 * math.sqrt(gap / lam_w * r_plus) * h_sigma
     alpha2 = (
         6.0
         * (c / (lam_w * lam_q)) ** 2
         * (2.0 * b_gain**2 * nR * nB + b_gain * nR)
     )
+    h_cost = alpha2 * norms.trace_Sigma_w
+    b_grad = math.sqrt(4.0 * (c / lam_q) ** 2 * gap / lam_w * r_plus)
+
+    alpha1 = 2.0 * math.sqrt(gap / lam_w * r_plus) * h_sigma
     # The middle term divides by the smallest eigenvalue of Sigma_0, exactly
     # as the source derivation prints it; degenerate Sigma_0 yields +inf.
     if norms.lam_Sigma_0 > 0:
@@ -163,7 +160,7 @@ def pgd_step_bound(norms: PlantNorms, c: float, c_star: float = 0.0) -> float:
 
 def npg_step_bound(norms: PlantNorms, c: float) -> float:
     """Largest certified natural-gradient step size at cost level c."""
-    _require_cost(c, 0.0)
+    _require_cost(norms, c, 0.0)
     return 1.0 / (2.0 * norms.norm_R + 2.0 * norms.norm_B**2 * c / norms.lam_Sigma_w)
 
 
@@ -200,6 +197,16 @@ def state_bound(
     return StateBound(value=L0 + t * w_bar, w_bar=w_bar, mode=mode)
 
 
+def _check_budget(budget) -> None:
+    """Every eps_* share must be positive and every delta_* in (0,1)."""
+    for f in fields(budget):
+        v = getattr(budget, f.name)
+        if f.name.startswith("eps_") and not v > 0:
+            raise ConfigurationError(f"{f.name} must be positive")
+        if f.name.startswith("delta_") and not (0.0 < v < 1.0):
+            raise ConfigurationError(f"{f.name} must be in (0,1), got {v}")
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Decomposition of the gradient-estimation tolerance and probability.
@@ -216,14 +223,7 @@ class ErrorBudget:
     delta_n: float
     delta_d: float
 
-    def __post_init__(self):
-        for name in ("eps_d", "eps_l", "eps_n", "eps_r"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("delta_x", "delta_n", "delta_d"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigurationError(f"{name} must be in (0,1), got {v}")
+    __post_init__ = _check_budget
 
     @property
     def eps(self) -> float:
@@ -255,14 +255,7 @@ class CovErrorBudget:
     delta_x: float
     delta_n: float
 
-    def __post_init__(self):
-        for name in ("eps_l", "eps_n", "eps_r"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("delta_x", "delta_n"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigurationError(f"{name} must be in (0,1), got {v}")
+    __post_init__ = _check_budget
 
     @property
     def eps(self) -> float:
@@ -283,6 +276,25 @@ def _ceil_int(x: float) -> int:
     if not math.isfinite(x):
         raise ConfigurationError(f"certificate value {x} is not finite")
     return max(1, int(math.ceil(x)))
+
+
+def _bernstein(dim, eps, variance, bound, log_arg) -> tuple[int, float]:
+    """Matrix-Bernstein rollout count (ceiling, raw value):
+    2 dim / eps^2 * (variance + bound * eps / (3 sqrt(dim))) * log(log_arg)."""
+    raw = (2.0 * dim / eps**2 * (variance + bound * eps / (3.0 * math.sqrt(dim)))
+           * math.log(log_arg))
+    return _ceil_int(raw), raw
+
+
+def _cost_ceiling(norms: PlantNorms, c, L0, l, w):
+    """Upper bound c / lam(Sigma_w) * (L0 + (l-1) w)^2 on one l-step rollout
+    cost. As printed: the growth factor appears once inside the square."""
+    return c / norms.lam_Sigma_w * (L0 + (l - 1) * w) ** 2
+
+
+def _radius(pc: PerturbationConstants, norm_K, cap) -> float:
+    """Exploration radius min(h, ||K|| if given else b_gain, cap)."""
+    return min(pc.h, pc.b_gain if norm_K is None else norm_K, cap)
 
 
 @dataclass(frozen=True)
@@ -314,23 +326,6 @@ class SampleCertificate:
         return d
 
 
-def _l_min_gradient(norms, c, h_cost, r, eps_l):
-    """Rollout-length requirement for the gradient estimator at radius r."""
-    lam_q, lam_w = norms.lam_Q, norms.lam_Sigma_w
-    c_pert = c + r * h_cost
-    lead = 2.0 * norms.n_x * norms.n_u * c_pert**2 / (eps_l * r * lam_w)
-    core = (norms.norm_Sigma_0 * lam_w + c_pert) / (lam_q * lam_w**2) + 1.0 / lam_q
-    return lead * core
-
-
-def _c_bar(norms, c, h_cost, r, l, L0, delta_x, sb_mode):
-    """Upper bound on one empirical rollout cost, given the state bound."""
-    sb = state_bound(L0, l, norms.trace_Sigma_w, delta_x, mode=sb_mode)
-    # As printed: the growth factor appears once inside the square.
-    inner = L0 + (l - 1) * sb.w_bar
-    return (c + r * h_cost) / norms.lam_Sigma_w * inner**2
-
-
 def gradient_certificate(
     norms: PlantNorms,
     c: float,
@@ -346,44 +341,38 @@ def gradient_certificate(
     the cost-based bound b_gain otherwise, so evaluation works model-free.
     """
     pc = perturbation_constants(norms, c, c_star)
-    k_slot = pc.b_gain if norm_K is None else norm_K
-    r_max = min(pc.h, k_slot, budget.eps_r / pc.h_grad)
-    r = r_max
-    l_raw = _l_min_gradient(norms, c, pc.h_cost, r, budget.eps_l)
+    r = _radius(pc, norm_K, budget.eps_r / pc.h_grad)
+    lam_q, lam_w = norms.lam_Q, norms.lam_Sigma_w
+    c_pert = c + r * pc.h_cost
+    l_raw = (
+        2.0 * norms.n_x * norms.n_u * c_pert**2 / (budget.eps_l * r * lam_w)
+        * ((norms.norm_Sigma_0 * lam_w + c_pert) / (lam_q * lam_w**2) + 1.0 / lam_q)
+    )
     l = _ceil_int(l_raw)
 
     d = norms.n_x * norms.n_u
     mn = min(norms.n_x, norms.n_u)
     mx = max(norms.n_x, norms.n_u)
-    c_pert = c + r * pc.h_cost
     sample_norm = d * c_pert / r
     alpha4 = sample_norm + budget.eps_r + pc.b_grad
     alpha5 = mx**2 * sample_norm**2 + (budget.eps_r + pc.b_grad) ** 2
-    log_n = math.log((norms.n_x + norms.n_u) / budget.delta_n)
-    N1_raw = (
-        2.0 * mn / budget.eps_n**2
-        * (alpha4**2 + alpha5 * budget.eps_n / (3.0 * math.sqrt(mn)))
-        * log_n
-    )
+    N1, N1_raw = _bernstein(mn, budget.eps_n, alpha4**2, alpha5,
+                            (norms.n_x + norms.n_u) / budget.delta_n)
 
-    c_bar = _c_bar(norms, c, pc.h_cost, r, l, L0, budget.delta_x,
-                   state_bound_mode)
+    sb = state_bound(L0, l, norms.trace_Sigma_w, budget.delta_x, mode=state_bound_mode)
+    c_bar = _cost_ceiling(norms, c_pert, L0, l, sb.w_bar)
     alpha6 = d * c_bar / r
     eps_sum = budget.eps_l + budget.eps_n + budget.eps_r
     alpha7 = eps_sum + pc.b_grad + alpha6
     alpha8 = mx**2 * alpha6**2 + (eps_sum + pc.b_grad) ** 2
-    log_d = math.log((norms.n_x + norms.n_u) / budget.delta_d)
-    N2_raw = (
-        2.0 * mn / budget.eps_d**2
-        * (alpha7**2 + alpha8 * budget.eps_d / (3.0 * math.sqrt(mn)))
-        * log_d
-    )
+    N2, N2_raw = _bernstein(mn, budget.eps_d, alpha7**2, alpha8,
+                            (norms.n_x + norms.n_u) / budget.delta_d)
 
     return SampleCertificate(
-        r_max=r_max,
+        r_max=r,
         l_min=l, l_min_raw=l_raw,
-        N1=_ceil_int(N1_raw), N1_raw=N1_raw,
-        N2=_ceil_int(N2_raw), N2_raw=N2_raw,
+        N1=N1, N1_raw=N1_raw,
+        N2=N2, N2_raw=N2_raw,
         intermediates={
             "alpha4": alpha4, "alpha5": alpha5, "alpha6": alpha6,
             "alpha7": alpha7, "alpha8": alpha8, "c_bar": c_bar,
@@ -405,13 +394,8 @@ def covariance_certificate(
 ) -> SampleCertificate:
     """Certified (r'_max, l'_min, n'_min) for the covariance estimator."""
     pc = perturbation_constants(norms, c, c_star)
-    k_slot = pc.b_gain if norm_K is None else norm_K
-    if pc.b_grad > 0:
-        r_branch = budget.eps_r / pc.b_grad
-    else:
-        r_branch = math.inf
-    r_max = min(pc.h, k_slot, r_branch)
-    r = r_max
+    r = _radius(pc, norm_K,
+                budget.eps_r / pc.b_grad if pc.b_grad > 0 else math.inf)
 
     lam_q, lam_w = norms.lam_Q, norms.lam_Sigma_w
     l_raw = (
@@ -426,17 +410,13 @@ def covariance_certificate(
     c_pert = c + r * pc.h_cost
     alpha9 = c_pert / lam_q + sb.value**2
     alpha10 = norms.n_x**2 * (sb.value**2 + (c_pert / lam_q) ** 2)
-    log_n = math.log(2.0 * norms.n_x / budget.delta_n)
-    n_raw = (
-        2.0 * norms.n_x / budget.eps_n**2
-        * (alpha10 + alpha9 * budget.eps_n / (3.0 * math.sqrt(norms.n_x)))
-        * log_n
-    )
+    n, n_raw = _bernstein(norms.n_x, budget.eps_n, alpha10, alpha9,
+                          2.0 * norms.n_x / budget.delta_n)
 
     return SampleCertificate(
-        r_max_prime=r_max,
+        r_max_prime=r,
         l_min_prime=l, l_min_prime_raw=l_raw,
-        n_min_prime=_ceil_int(n_raw), n_min_prime_raw=n_raw,
+        n_min_prime=n, n_min_prime_raw=n_raw,
         intermediates={
             "alpha9": alpha9, "alpha10": alpha10,
             "state_bound": sb.value, "state_bound_mode": state_bound_mode,
@@ -467,55 +447,42 @@ def vr_certificate(
     """
     if b_hat < 0 or b_s_bound < 0:
         raise ConfigurationError("baseline values must be nonnegative")
-    pc = perturbation_constants(norms, c, c_star)
     grad_cert = gradient_certificate(
         norms, c, budget, L0, c_star=c_star, norm_K=norm_K,
         state_bound_mode=state_bound_mode,
     )
+    grad = grad_cert.intermediates
     r = grad_cert.r_max if r is None else r
     d = norms.n_x * norms.n_u
     mn = min(norms.n_x, norms.n_u)
     mx = max(norms.n_x, norms.n_u)
 
-    c_bar = _c_bar(norms, c, pc.h_cost, r, l, L0, budget.delta_x,
-                   state_bound_mode)
+    sb = state_bound(L0, l, norms.trace_Sigma_w, budget.delta_x, mode=state_bound_mode)
+    c_bar = _cost_ceiling(norms, c + r * grad["h_cost"], L0, l, sb.w_bar)
     alpha12 = d / r * (max(c_bar - b_s_bound, b_s_bound) + abs(b_s_bound - b_hat))
     eps_sum = budget.eps_l + budget.eps_n + budget.eps_r
-    alpha11 = mx**2 * alpha12**2 + (eps_sum + pc.b_grad) ** 2
-    alpha7 = grad_cert.intermediates["alpha7"]
-    log_d = math.log((norms.n_x + norms.n_u) / budget.delta_d)
-    N3_raw = (
-        2.0 * mn / budget.eps_d**2
-        * (alpha7**2 + alpha11 * budget.eps_d / (3.0 * math.sqrt(mn)))
-        * log_d
-    )
+    alpha11 = mx**2 * alpha12**2 + (eps_sum + grad["b_grad"]) ** 2
+    N3, N3_raw = _bernstein(mn, budget.eps_d, grad["alpha7"] ** 2, alpha11,
+                            (norms.n_x + norms.n_u) / budget.delta_d)
 
-    sb = state_bound(L0, l, norms.trace_Sigma_w, budget.delta_x, mode=state_bound_mode)
-    c_bar_v = c / norms.lam_Sigma_w * (L0 + (l - 1) * sb.w_bar) ** 2
-    c_bar_ev = c / norms.lam_Sigma_w * (L0 + (l - 1) * norms.norm_Sigma_w) ** 2
+    c_bar_v = _cost_ceiling(norms, c, L0, l, sb.w_bar)
+    c_bar_ev = _cost_ceiling(norms, c, L0, l, norms.norm_Sigma_w)
     eps_v = min(b_s_bound, c_bar - b_s_bound)
     if eps_v > 0:
-        n_tilde_raw = (
-            2.0 / eps_v**2
-            * ((c_bar_ev + c_bar_v) ** 2
-               + ((c_bar_ev**2 + c_bar_v**2) * eps_v) / 3.0)
-            * math.log(2.0 / budget.delta_d)
+        n_tilde, n_tilde_raw = _bernstein(
+            1, eps_v, (c_bar_ev + c_bar_v) ** 2, c_bar_ev**2 + c_bar_v**2,
+            2.0 / budget.delta_d,
         )
-        n_tilde = _ceil_int(n_tilde_raw)
     else:
-        n_tilde_raw = math.inf
-        n_tilde = None
+        n_tilde, n_tilde_raw = None, math.inf
 
-    return SampleCertificate(
-        r_max=grad_cert.r_max,
-        l_min=grad_cert.l_min, l_min_raw=grad_cert.l_min_raw,
-        N1=grad_cert.N1, N1_raw=grad_cert.N1_raw,
-        N2=grad_cert.N2, N2_raw=grad_cert.N2_raw,
-        N3=_ceil_int(N3_raw), N3_raw=N3_raw,
+    return replace(
+        grad_cert,
+        N3=N3, N3_raw=N3_raw,
         n_tilde_min=n_tilde, n_tilde_min_raw=n_tilde_raw,
         vr_improves=bool(N3_raw <= grad_cert.N2_raw),
         intermediates={
-            **grad_cert.intermediates,
+            **grad,
             "alpha11": alpha11, "alpha12": alpha12,
             "c_bar_v": c_bar_v, "c_bar_ev": c_bar_ev, "eps_v": eps_v,
         },
@@ -583,20 +550,18 @@ def iteration_counts(
     sigma: float = 0.0,
 ) -> IterationCounts:
     """Logarithmic iteration counts to reach suboptimality eps from c0 with
-    step size eta; returns 0 when c0 is already within eps of optimal."""
+    step size eta > 0 and estimation-error fraction sigma in [0, 1); returns
+    0 when c0 is already within eps of optimal."""
     if not eps > 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
+    if not eta > 0:
+        raise ConfigurationError(f"eta must be positive, got {eta}")
+    if not (0.0 <= sigma < 1.0):
+        raise ConfigurationError(f"sigma must be in [0,1), got {sigma}")
     if c0 <= c_star + eps:
         return IterationCounts(0, 0, 0)
     log_term = math.log((c0 - c_star) / eps)
     pgd = norm_sigma_star / (2.0 * eta * lam_R * lam_Sigma_w**2) * log_term
-    pgd_mf = pgd / (1.0 - sigma) if sigma < 1.0 else math.inf
-    npg_mf = (
-        norm_sigma_star / (2.0 * (1.0 - sigma) * eta * lam_Sigma_w) * log_term
-        if sigma < 1.0 else math.inf
-    )
-    return IterationCounts(
-        n_pgd_exact=_ceil_int(pgd) if pgd > 0 else 0,
-        n_pgd_model_free=_ceil_int(pgd_mf) if pgd_mf > 0 else 0,
-        n_npg_model_free=_ceil_int(npg_mf) if npg_mf > 0 else 0,
-    )
+    pgd_mf = pgd / (1.0 - sigma)
+    npg_mf = norm_sigma_star / (2.0 * (1.0 - sigma) * eta * lam_Sigma_w) * log_term
+    return IterationCounts(*(_ceil_int(n) if n > 0 else 0 for n in (pgd, pgd_mf, npg_mf)))

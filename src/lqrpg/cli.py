@@ -2,7 +2,7 @@
 
 Subcommands: exact, mb-run, mf-run, estimate, bounds, figure, validate.
 Exit codes: 0 success, 2 configuration error, 3 numeric/divergence error in
-a mandatory computation, 4 IO error.
+a mandatory computation (including a float overflow), 4 IO error.
 """
 from __future__ import annotations
 
@@ -40,6 +40,13 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
+def _thread_count(text: str) -> int | str:
+    """``--threads``: 'auto' or an integer >= 1."""
+    if text == "auto" or text.isdecimal() and int(text) >= 1:
+        return text if text == "auto" else int(text)
+    raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lqrpg",
@@ -52,8 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out": dict(default=None, help="output directory override"),
         "--repetitions": dict(type=int, default=None,
                               help="Monte Carlo repetition override"),
-        "--threads": dict(default="1", help="worker threads for model-free "
-                                            "repetitions (int or 'auto')"),
+        "--threads": dict(type=_thread_count, default=1,
+                          help="worker threads for model-free repetitions "
+                               "('auto' or an integer >= 1)"),
         "--format": dict(choices=("csv", "json"), default=None,
                          help="artifact format override"),
     }
@@ -83,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--out", default="out")
     fig.add_argument("--repetitions", type=int, default=None)
-    fig.add_argument("--threads", default="1")
+    fig.add_argument("--threads", **flags["--threads"])
 
     val = sub.add_parser("validate", help="validate a config file")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -106,10 +114,6 @@ def _load(args):
             if values and isinstance(node, dict):
                 data[section] = {**node, **values}
     return config_from_dict(data)
-
-
-def _threads(args):
-    return args.threads if args.threads == "auto" else int(args.threads)
 
 
 def _cmd_exact(args) -> int:
@@ -143,7 +147,7 @@ def _cmd_run(args, kind: str) -> int:
             f"optimizer {cfg.optimizer!r} is not valid for {kind}-run "
             f"(expected one of {wanted})"
         )
-    bundle = run_monte_carlo(cfg, threads=_threads(args))
+    bundle = run_monte_carlo(cfg, threads=args.threads)
     print(f"wrote {len(bundle.run_paths)} run file(s) to {bundle.out_dir}")
     if any(t.terminal_reason == "diverged" for t in bundle.traces):
         print("warning: at least one run diverged (recorded in traces)")
@@ -194,7 +198,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_figure(args) -> int:
     cfg = figure_preset(args.name, repetitions=args.repetitions,
                         master_seed=args.seed)
-    bundle = run_monte_carlo(cfg, out_dir=args.out, threads=_threads(args))
+    bundle = run_monte_carlo(cfg, out_dir=args.out, threads=args.threads)
     n_runs = sum(len(b.run_paths) for b in bundle.sub_bundles) or len(bundle.run_paths)
     print(f"wrote {n_runs} run file(s) under {bundle.out_dir}")
     return EXIT_OK
@@ -224,7 +228,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InstabilityError, NumericError, ConvergenceError, OverflowedRollout) as exc:
+    except (InstabilityError, NumericError, ConvergenceError, OverflowedRollout,
+            ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -11,7 +14,9 @@ from lqrpg import (
     ErrorBudget,
     PlantNorms,
     covariance_certificate,
+    detuned_initial_gain,
     emit_bounds_report,
+    exact_quantities,
     gradient_certificate,
     iteration_counts,
     npg_step_bound,
@@ -75,6 +80,17 @@ class TestStepBounds:
     def test_bounds_decrease_with_cost(self):
         assert pgd_step_bound(NORMS, 1.2) > pgd_step_bound(NORMS, 2.4)
         assert npg_step_bound(NORMS, 1.2) > npg_step_bound(NORMS, 2.4)
+
+    def test_npg_rejects_degenerate_noise(self):
+        degenerate = dataclasses.replace(NORMS, lam_Sigma_w=0.0)
+        with pytest.raises(ConfigurationError, match="positive-definite Sigma_w"):
+            npg_step_bound(degenerate, C0)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_cost(self, c):
+        for bound in (npg_step_bound, pgd_step_bound, perturbation_constants):
+            with pytest.raises(ConfigurationError, match="cost value"):
+                bound(NORMS, c)
 
 
 class TestStateBound:
@@ -244,3 +260,103 @@ class TestIterationCounts:
     def test_already_converged(self):
         ic = iteration_counts(2.0, 1.0, 1.0, 1.2, 1.0, 0.5, 0.1)
         assert ic.n_pgd_exact == 0
+
+    @pytest.mark.parametrize("eta, sigma", [
+        (0.0, 0.0), (-0.1, 0.0), (math.nan, 0.0),
+        (0.1, 1.0), (0.1, -0.5), (0.1, 1.5), (0.1, math.nan),
+    ])
+    def test_rejects_bad_step_and_sigma(self, eta, sigma):
+        for c0 in (3.0, 1.2):  # also when c0 is already within eps
+            with pytest.raises(ConfigurationError):
+                iteration_counts(2.0, 1.0, 1.0, c0, 1.0, 0.5, eta, sigma=sigma)
+
+
+def _sha(*outputs) -> str:
+    return hashlib.sha256("\n".join(map(str, outputs)).encode()).hexdigest()
+
+
+PLANTS = {"scalar_s1": scalar_s1, "paper3x3": paper3x3}
+
+# SHA-256 of the certificate outputs. They pin every byte, so a rewrite of
+# lqrpg.bounds that is meant to change no float is checked to change none.
+# "C(K0)" is the cost of the detuned initial gain, the `lqrpg bounds` default.
+# C(K0) and C* come from the exact layer, so a change there moves them too.
+REPORT_DIGESTS = {
+    ("scalar_s1", "C(K0)", False):
+        "25c8a1ab088ac413cbb9c3cc9a7c0c4add8a4ddcb34ebcb5dc05353b110ff0cf",
+    ("scalar_s1", "C(K0)", True):
+        "99d3d13e26ab19a11aa6df07643d0376e2603b56cccbe36b1a8982c6f1c4d051",
+    ("scalar_s1", 2.0, False):
+        "4648f2ccb4e527ca57b612c00c1b4bd6402379f0200572f4376b151df7875727",
+    ("scalar_s1", 2.0, True):
+        "513d628b042ada1cee2f6e7cacf0740cb037fdfc57140468f535b1ed4f782946",
+    ("paper3x3", "C(K0)", False):
+        "42530d1abea44ee7aa9f08073aaefb8f3c011dc1e3a2495d8db6d9350c1acc6a",
+    ("paper3x3", "C(K0)", True):
+        "9184e0046f89a51b0e862efcc636d31e3476ea68d3b7b9cd986f3f1b5b1bf5a8",
+    ("paper3x3", 2.0, False):
+        "0040d2bb30de7375e0fce29f7114bb129a9ccbd62e548daadcddded1da0b4b6b",
+    ("paper3x3", 2.0, True):
+        "4ba0bba5638d35f1440c87d25eac24b96e8d6f26bd2e424488d4abf117e547aa",
+}
+# (b_s_bound as a multiple of the gradient certificate's c_bar, norm_K, r,
+# state-bound mode); a multiple of 1 or more makes eps_v <= 0.
+VR_DIGESTS = {
+    (0.5, None, None, "paper"):
+        "6a1daa9e4e66068d19750550af67905efcab778cb4a4fc82861a794d1cc298ac",
+    (2.0, None, None, "paper"):
+        "b2498701b614a8370f90b3d463e7af389a7608cbc020a111f4b28a7471589960",
+    (0.5, None, None, "chebyshev"):
+        "12fc86552a5134fb27fd4368c715c128afc30c65c7f26c14bd4e1bfba76f61fc",
+    (0.6, 0.01, None, "chebyshev"):
+        "308ee0a6d19e9c8341abc1cbd944c2702ccfb5cc1cf70cd4fd109e128d4039b8",
+    (0.3, 0.05, 0.001, "paper"):
+        "28c28dbeb2b1e2a54c3028c527215fffc65e6a746bd0500f6948d617f623a382",
+}
+ACCURACY_DIGEST = (
+    "78763eed2330971df8ddc7ceb5162c4b611b390f40134388ab2abf406e8aa941")
+
+
+class TestCertificateDigests:
+    @pytest.mark.parametrize("name,level,with_c_star", REPORT_DIGESTS)
+    def test_bounds_report(self, name, level, with_c_star):
+        plant = PLANTS[name]()
+        cost = level
+        if level == "C(K0)":
+            cost = exact_quantities(plant, detuned_initial_gain(plant)).cost
+        c_star = solve_dare(plant).C_star if with_c_star else 0.0
+        budget = ErrorBudget.even_split(0.4, 0.3)
+        text = emit_bounds_report(plant, cost, budget, c_star=c_star)
+        data = emit_bounds_report(plant, cost, budget, c_star=c_star, fmt="json")
+        assert _sha(text, json.dumps(data, sort_keys=True)) == \
+            REPORT_DIGESTS[name, level, with_c_star]
+
+    @pytest.mark.parametrize("b_scale,norm_K,r,mode", VR_DIGESTS)
+    def test_vr_and_covariance_certificates(self, b_scale, norm_K, r, mode):
+        budget = ErrorBudget.even_split(0.5, 0.2)
+        grad = gradient_certificate(NORMS, C0, budget, L0=3.0, norm_K=norm_K,
+                                    state_bound_mode=mode)
+        b_s = b_scale * grad.intermediates["c_bar"]
+        vr = vr_certificate(NORMS, C0, budget, b_hat=0.9 * b_s, b_s_bound=b_s,
+                            L0=3.0, l=grad.l_min, norm_K=norm_K, r=r,
+                            state_bound_mode=mode)
+        assert (vr.intermediates["eps_v"] > 0) == (b_scale < 1.0)
+        cov = covariance_certificate(NORMS, C0, CovErrorBudget.even_split(0.5, 0.2),
+                                     L0=3.0, norm_K=norm_K, state_bound_mode=mode)
+        assert _sha(vr, cov) == VR_DIGESTS[b_scale, norm_K, r, mode]
+
+    def test_accuracies_and_iteration_counts(self):
+        outputs = []
+        for name, cost in (("scalar_s1", C0), ("paper3x3", 2.0)):
+            plant = PLANTS[name]()
+            opt = solve_dare(plant)
+            sig_star = float(np.linalg.norm(opt.Sigma_star, 2))
+            norms = PlantNorms.from_plant(plant)
+            for c_star in (0.0, opt.C_star):
+                outputs.append(required_accuracies(norms, cost, sig_star, eps=0.1,
+                                                   sigma=0.5, c_star=c_star))
+        for sigma in (0.0, 0.5, 0.9):
+            for c0 in (1.04, 3.0, 1e6):
+                outputs.append(iteration_counts(2.0, 0.7, 0.3, c0, 1.0, 0.05,
+                                                0.1, sigma=sigma))
+        assert _sha(*outputs) == ACCURACY_DIGEST

@@ -540,6 +540,36 @@ class TestCli:
                      str(4.0 / 3.0)]) == EXIT_OK
         assert "l_min = 119" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cost, code", [
+        ("inf", EXIT_CONFIG), ("nan", EXIT_CONFIG), ("1e200", EXIT_NUMERIC),
+        ("1e100", EXIT_NUMERIC),
+    ])
+    def test_bounds_extreme_cost_exit_codes(self, tmp_path, capsys, cost, code):
+        # A non-finite cost is a bad input; a finite one whose certificate
+        # overflows or divides by zero is a numeric failure, not a traceback.
+        path = self.write(tmp_path, base_config())
+        assert main(["bounds", "--config", path, "--cost", cost]) == code
+        prefix = "config error" if code == EXIT_CONFIG else "numeric error"
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("command", [["mf-run", "--config", "cfg.json"],
+                                         ["figure", "fig1"]])
+    @pytest.mark.parametrize("threads", ["abc", "0", "-1", "1.5", ""])
+    def test_threads_flag_rejects_bad_values(self, capsys, command, threads):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", threads])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --threads: expected 'auto' or an integer >= 1" in \
+            capsys.readouterr().err
+
+    def test_threads_flag_values(self):
+        from lqrpg.cli import _build_parser
+
+        parse = _build_parser().parse_args
+        assert parse(["figure", "fig1"]).threads == 1
+        assert parse(["figure", "fig1", "--threads", "auto"]).threads == "auto"
+        assert parse(["mb-run", "--config", "c", "--threads", "12"]).threads == 12
+
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # destabilizing K0 surfaces as a config error; a diverging estimate
         # inside `estimate` surfaces as numeric
