@@ -489,6 +489,12 @@ def vr_certificate(
     )
 
 
+def _require_positive(**scalars: float) -> None:
+    for name, x in scalars.items():
+        if not 0 < x < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class RequiredAccuracies:
     """Per-iteration estimation accuracies the model-free loops must meet."""
@@ -511,8 +517,8 @@ def required_accuracies(
     model-free contraction factors valid, linear in both eps and sigma."""
     if not (0.0 < sigma < 1.0):
         raise ConfigurationError(f"sigma must be in (0,1), got {sigma}")
-    if not eps > 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    _require_positive(eps=eps, norm_sigma_star=norm_sigma_star, lam_R=norms.lam_R,
+                      lam_Sigma_w=norms.lam_Sigma_w)
     pc = perturbation_constants(norms, c, c_star)
     lam_r, lam_w = norms.lam_R, norms.lam_Sigma_w
     base = sigma * eps * lam_r * lam_w**2 / norm_sigma_star
@@ -552,10 +558,8 @@ def iteration_counts(
     """Logarithmic iteration counts to reach suboptimality eps from c0 with
     step size eta > 0 and estimation-error fraction sigma in [0, 1); returns
     0 when c0 is already within eps of optimal."""
-    if not eps > 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
-    if not eta > 0:
-        raise ConfigurationError(f"eta must be positive, got {eta}")
+    _require_positive(eps=eps, eta=eta, norm_sigma_star=norm_sigma_star, lam_R=lam_R,
+                      lam_Sigma_w=lam_Sigma_w)
     if not (0.0 <= sigma < 1.0):
         raise ConfigurationError(f"sigma must be in [0,1), got {sigma}")
     if c0 <= c_star + eps:

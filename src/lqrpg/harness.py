@@ -6,7 +6,8 @@ reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
 byte-identical for a fixed seed regardless of the thread count. The variants
 of a grid share these substreams, so its model-free variants run in lockstep,
-a repetition at a time, and make each iteration's draws once.
+a repetition at a time, and make each iteration's draws once; its
+exact-gradient variants run as one lockstep stack per plant instance.
 """
 from __future__ import annotations
 
@@ -38,17 +39,19 @@ from .optimizers import (
     StepSchedule,
     StopRule,
     OPTIMIZERS,
-    _exact,
+    SCHEDULE_PARAMS,
+    _Run,
+    _exact_rule,
+    _exact_runs,
     _gauss_newton_schedule,
-    _gauss_newton_step,
     _mf_npg,
     _mf_pgd,
-    _natural_step,
-    _pgd,
+    _noise_rows,
+    _noisy_step,
     _round_robin,
 )
 from . import plants as _plants
-from .plants import PlantModel
+from .plants import PlantModel, smallest_eigenvalue
 from .sim import (RolloutConfig, RolloutOracle, SeedSpec, _DrawMemo,
                   default_initial_state_bound)
 
@@ -286,6 +289,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 _gauss_newton_schedule(schedule)
         except ConfigurationError as exc:
             v.add("schedule", str(exc))
+        else:  # the parameters the kind does not read, and noise it cannot use
+            kind = schedule.kind if schedule else None
+            for k in sorted(params.keys() - SCHEDULE_PARAMS.get(kind, params.keys())):
+                v.add(f"schedule.{k}", f"not used by schedule kind {kind!r}")
+            if plant is not None and kind == "adaptive_certified" \
+                    and not smallest_eigenvalue(plant.Sigma_w) > 0:
+                v.add("schedule.kind", f"{kind} needs a plant with a positive-definite Sigma_w")
+            if plant is not None and kind == "adaptive_empirical" \
+                    and not np.trace(plant.Sigma_w) > 0:
+                v.add("schedule.kind", f"{kind} needs a plant with Tr(Sigma_w) > 0")
         # Without a schedule section, optimizer.eta is the schedule's eta.
         eta = sched.get("eta")
         if "eta" in (opt or {}) and "schedule" in data and opt["eta"] != eta:
@@ -397,20 +410,32 @@ def parse_config(path: str) -> ExperimentConfig:
     return config_from_dict(_load_json(path))
 
 
-def _run_lockstep(cfg: ExperimentConfig) -> list[ConvergenceTrace]:
-    """All repetitions of an exact-gradient variant as one stack of runs;
-    repetition rep's noise substreams are keyed by ``rep``. A noise-free
-    variant's repetitions are the same run: it runs once and its trace
-    stands for each repetition."""
-    m = cfg.repetitions if cfg.noise_sigma > 0 else 1
-    args = (cfg.plant, [cfg.K0] * m, cfg.schedule, cfg.stop)
-    if cfg.optimizer == "mb_npg":
-        traces = _exact(*args, _natural_step, "npg")
-    elif cfg.optimizer == "mb_gauss_newton":
-        traces = _exact(*args, _gauss_newton_step(cfg.plant), "pgd")
-    else:  # mb_pgd, and noisy_pgd, the only one with noise
-        traces = _pgd(*args, cfg.noise_sigma, SeedSpec(cfg.master_seed), range(m))
-    return traces * (cfg.repetitions // m)
+def _run_exact(cfgs: list[ExperimentConfig]) -> list[tuple[list, float]]:
+    """The traces of exact-gradient variants ``cfgs`` and the start of their
+    stack, per variant; the variants on one plant instance are one stack.
+    Repetition rep's noise rows (run id ``rep``) are drawn once per master
+    seed, scaled by each variant's sigma. A noise-free variant runs once and
+    its trace stands for each repetition."""
+    # As many rows as the longest noisy run takes; shorter runs read a prefix.
+    length = max((c.stop.max_iters for c in cfgs if c.noise_sigma > 0), default=0)
+    normals = functools.cache(
+        lambda seed, rep, shape: _noise_rows(SeedSpec(seed), rep, length, shape))
+    stacks: dict = {}
+    for j, cfg in enumerate(cfgs):
+        step, flavor = _exact_rule(cfg.optimizer, cfg.plant)
+        shape = (cfg.plant.n_u, cfg.plant.n_x)
+        steps = [_noisy_step(cfg.noise_sigma, normals(cfg.master_seed, rep, shape))
+                 for rep in range(cfg.repetitions)] if cfg.noise_sigma > 0 else [step]
+        stacks.setdefault(id(cfg.plant), (cfg.plant, []))[1].extend(
+            (j, _Run(cfg.K0, cfg.schedule, cfg.stop, s, flavor)) for s in steps)
+    traces, starts = [[] for _ in cfgs], {}
+    for plant, members in stacks.values():
+        start = time.monotonic()
+        for (j, _), trace in zip(members, _exact_runs(plant, [r for _, r in members])):
+            traces[j].append(trace)
+            starts[j] = start
+    return [(t * (cfg.repetitions // len(t)), starts[j])
+            for j, (cfg, t) in enumerate(zip(cfgs, traces))]
 
 
 def _run_stack(cfgs: list[ExperimentConfig], rep: int) -> list[ConvergenceTrace]:
@@ -514,16 +539,17 @@ def run_monte_carlo(
     bundle (per-run CSV/JSON, aggregate CSV, manifest JSON); a grid (a config
     with ``variants``) emits one bundle per variant under its label.
 
-    The repetitions of an exact-gradient variant (mb_pgd, mb_npg,
-    mb_gauss_newton, noisy_pgd) run in lockstep as one stack. Repetition rep
-    of every model-free variant (mf_pgd, mf_npg) is one lockstep stack whose
-    variants share their seeded draws; a single config is a stack of one.
-    ``threads`` spreads these stacks over a thread pool, one per worker.
+    The exact-gradient variants (mb_pgd, mb_npg, mb_gauss_newton, noisy_pgd)
+    on one plant instance run as one lockstep stack. Repetition rep of every
+    model-free variant (mf_pgd, mf_npg) is one lockstep stack whose variants
+    share their seeded draws; ``threads`` spreads these over a thread pool.
     Results are collected in repetition order, so outputs do not depend on
-    the thread count. A model-free manifest's time includes its stacks.
+    the thread count. Every stack runs before any file is written; a
+    manifest's time counts from the start of its variant's stack(s).
     """
     t0 = time.monotonic()
-    free = [v for v in cfg.variants or (cfg,) if OPTIMIZERS[v.optimizer] == "mf"]
+    variants = cfg.variants or (cfg,)
+    free = [v for v in variants if OPTIMIZERS[v.optimizer] == "mf"]
     reps = max((v.repetitions for v in free), default=0)
     workers = min(os.cpu_count() or 1, reps) if threads == "auto" else int(threads)
     stacks = [[v for v in free if rep < v.repetitions] for rep in range(reps)]
@@ -535,18 +561,17 @@ def run_monte_carlo(
     else:
         done = list(map(_run_stack, stacks, range(reps)))
     # Each stack lists its variants in the order of ``free``.
-    traces = iter([[done[rep].pop(0) for rep in range(v.repetitions)] for v in free])
-
-    def emit(var, out_dir):
-        if OPTIMIZERS[var.optimizer] == "mf":
-            return _emit(var, out_dir, next(traces), t0)
-        start = time.monotonic()
-        return _emit(var, out_dir, _run_lockstep(var), start)
+    model_free = iter([([done[rep].pop(0) for rep in range(v.repetitions)], t0)
+                       for v in free])
+    exact = iter(_run_exact([v for v in variants if OPTIMIZERS[v.optimizer] == "mb"]))
+    runs = [next(model_free if OPTIMIZERS[v.optimizer] == "mf" else exact)
+            for v in variants]
 
     base = out_dir or cfg.out_dir
     if not cfg.variants:
-        return emit(cfg, base)
-    subs = [emit(var, os.path.join(base, var.label)) for var in cfg.variants]
+        return _emit(cfg, base, *runs[0])
+    subs = [_emit(var, os.path.join(base, var.label), *run)
+            for var, run in zip(variants, runs)]
     os.makedirs(base, exist_ok=True)
     manifest_path = os.path.join(base, "manifest.json")
     with open(manifest_path, "w") as fh:

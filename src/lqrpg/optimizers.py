@@ -10,10 +10,10 @@ zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
 run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
 The loop advances a stack of runs in lockstep and yields after each
-iteration; :func:`_round_robin` drives several loops one iteration each in
-turn. The public functions run a stack of one, the harness runs every
-repetition of an exact-gradient variant as one stack, and a grid's
-model-free variants of one repetition as loops driven round-robin.
+iteration, and each run has its own rules; :func:`_round_robin` drives
+several loops one iteration each in turn. The public functions run a stack
+of one, the harness runs every exact-gradient run of a grid on one plant
+as one stack, and a grid's model-free variants as loops driven round-robin.
 """
 from __future__ import annotations
 
@@ -50,9 +50,12 @@ DIVERGENCE_CEILING_FACTOR = 1e6
 # A model-free run ends after this many consecutive failed iterations.
 MAX_CONSECUTIVE_FAILURES = 5
 # Every optimizer by config name, with its run command: "mb" ones follow the
-# exact gradient, all repetitions as one stack; "mf" ones estimate it.
+# exact gradient, a grid's runs on one plant as one stack; "mf" ones estimate it.
 OPTIMIZERS = {"mb_pgd": "mb", "mb_npg": "mb", "mb_gauss_newton": "mb",
               "mf_pgd": "mf", "mf_npg": "mf", "noisy_pgd": "mb"}
+# Every step-schedule kind, with the parameters it reads.
+SCHEDULE_PARAMS = {"fixed": {"eta"}, "adaptive_certified": set(),
+                   "adaptive_empirical": {"a", "b", "c"}}
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class StepSchedule:
     c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "adaptive_certified", "adaptive_empirical"):
+        if self.kind not in SCHEDULE_PARAMS:
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "fixed" and not (self.eta is not None and self.eta > 0):
             raise ConfigurationError("fixed schedule requires eta > 0")
@@ -179,11 +182,10 @@ def _stop_reason(stop: StopRule, i: int, rel: float | None, grad_norm: float):
 
 
 class _Point(NamedTuple):
-    """One evaluation of run ``run``'s current gain: its cost, the
-    (estimated) gradient, and the exact quantities or covariance estimate
-    behind them."""
+    """One evaluation of a run's current gain at iteration ``i``: its cost,
+    the (estimated) gradient, and the exact quantities or covariance
+    estimate behind them."""
 
-    run: int
     i: int
     cost: float
     grad: np.ndarray
@@ -194,19 +196,20 @@ class _Point(NamedTuple):
 class _Exact:
     """Direction from the exact closed-loop quantities.
 
-    Solves the DARE once for the optimal cost, evaluates the gains of all
-    active runs in one call of the batched core, treats an unstable gain as
-    the divergence of its run, and records the final gain after the last
-    step.
+    Solves the DARE once for the optimal cost, takes the plant norms when a
+    run's schedule is adaptive, evaluates the gains of all active runs in one
+    call of the batched core, treats an unstable gain as the divergence of
+    its run, and records the final gain after the last step.
     """
 
     failure = "diverged"
     records_final = True
 
-    def __init__(self, plant: PlantModel, schedule: StepSchedule):
+    def __init__(self, plant: PlantModel, runs: list[_Run]):
         self.plant = plant
         self.c_star = self.step_c_star = solve_dare(plant).C_star
-        self.norms = None if schedule.kind == "fixed" else PlantNorms.from_plant(plant)
+        adaptive = any(run.schedule.kind != "fixed" for run in runs)
+        self.norms = PlantNorms.from_plant(plant) if adaptive else None
 
     def start(self, K0s) -> list[np.ndarray]:
         return [self.plant.check_gain(K0) for K0 in K0s]
@@ -224,7 +227,7 @@ class _Exact:
                 continue
             q = ClosedLoopQuantities(P=s.P[j], Sigma=s.Sigma[j], E=s.E[j],
                                      cost=float(s.cost[j]), grad=s.grad[j])
-            points.append(_Point(r, i, q.cost, q.grad, q=q))
+            points.append(_Point(i, q.cost, q.grad, q=q))
             j += 1
         return points
 
@@ -263,13 +266,16 @@ class _Estimated:
         cost = math.nan
         if g.rollout_costs is not None and len(g.rollout_costs):
             cost = float(np.mean(g.rollout_costs))
-        return [_Point(r, i, cost, g.value, cov=cov)]
+        return [_Point(i, cost, g.value, cov=cov)]
 
 
 class _Run:
-    """Records, divergence ceiling, failure count and end of one run."""
+    """Start gain, schedule, stop rule, step rule and step-bound flavor of
+    one run, then its records, divergence ceiling, failure count and end."""
 
-    def __init__(self):
+    def __init__(self, K0, schedule: StepSchedule, stop: StopRule, step, flavor: str):
+        self.K0, self.schedule, self.stop = K0, schedule, stop
+        self.step, self.flavor = step, flavor
         self.records: list[IterationRecord] = []
         self.ceiling = None
         self.failures = 0
@@ -282,26 +288,24 @@ class _Run:
         ))
 
 
-def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
-              flavor: str):
+def _optimize(direction, runs: list[_Run]):
     """The one optimization loop, over a stack of runs in lockstep: a
     generator that yields None after each iteration, then the traces.
 
-    Run r starts from ``K0s[r]``. Each iteration evaluates the current gains
-    of the runs still active in one ``direction.evaluate`` call. A run stops
-    on divergence (an infinite cost, or a NaN cost or one past
-    ``DIVERGENCE_CEILING_FACTOR`` times its first finite cost) or the stop
-    rule, and otherwise moves to ``step(K, point, eta)``. Before a finite
+    Each iteration evaluates the current gains of the runs still active in
+    one ``direction.evaluate`` call. A run stops on divergence (an infinite
+    cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR`` times its
+    first finite cost) or its stop rule, and otherwise moves to its
+    ``step(K, point, eta)`` with the step of its schedule. Before a finite
     cost a NaN cost is unobservable, not divergence. A failed evaluation ends
     the run as ``direction.failure`` "diverged"; otherwise it counts, like a
     step that returns None, toward ``MAX_CONSECUTIVE_FAILURES`` consecutive
     failures. Exact directions evaluate once more after the last step to
     record the final gain. One run's end leaves the others running.
     """
-    Ks = direction.start(K0s)
-    runs = [_Run() for _ in Ks]
+    Ks = direction.start([run.K0 for run in runs])
     active = list(range(len(Ks)))
-    for i in range(stop.max_iters + direction.records_final):
+    for i in range(max(run.stop.max_iters for run in runs) + direction.records_final):
         for r, pt in zip(active, direction.evaluate(Ks, active, i)):
             run = runs[r]
             if pt is None:
@@ -323,14 +327,14 @@ def _optimize(direction, K0s, schedule: StepSchedule, stop: StopRule, step,
                     run.record(pt.cost, rel, 0.0, grad_norm, status="diverged")
                     run.reason = "diverged"
                     continue
-                reason = _stop_reason(stop, i, rel, grad_norm)
+                reason = _stop_reason(run.stop, i, rel, grad_norm)
                 if reason is not None:
                     run.record(pt.cost, rel, 0.0, grad_norm)
                     run.reason = reason
                     continue
-                eta = schedule.step_size(pt.cost, direction.norms, flavor,
-                                         c_star=direction.step_c_star)
-                K_next = step(Ks[r], pt, eta)
+                eta = run.schedule.step_size(pt.cost, direction.norms, run.flavor,
+                                             c_star=direction.step_c_star)
+                K_next = run.step(Ks[r], pt, eta)
                 if K_next is not None:
                     run.failures = 0
                     run.record(pt.cost, rel, eta, grad_norm)
@@ -363,8 +367,12 @@ def _round_robin(loops: list) -> list[list[ConvergenceTrace]]:
 
 def _exact(plant, K0s, schedule, stop, step, flavor) -> list[ConvergenceTrace]:
     """Traces of exact-gradient runs from ``K0s``, each moved by ``step``."""
-    return _round_robin([_optimize(_Exact(plant, schedule), K0s, schedule, stop,
-                                   step, flavor)])[0]
+    return _exact_runs(plant, [_Run(K0, schedule, stop, step, flavor) for K0 in K0s])
+
+
+def _exact_runs(plant, runs: list[_Run]) -> list[ConvergenceTrace]:
+    """Traces of the exact-gradient ``runs`` on ``plant``, as one stack."""
+    return _round_robin([_optimize(_Exact(plant, runs), runs)])[0]
 
 
 def _gradient_step(K, pt, eta):
@@ -380,15 +388,22 @@ def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
         raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
     if noise_sigma == 0:
         return _exact(plant, K0s, schedule, stop, _gradient_step, "pgd")
-    # Iteration i's noise is its (run_id, i) substream; one draw per run.
-    deltas = np.array([noise_sigma * seeds.draw(
-        run_id, range(stop.max_iters), Purpose.PERTURBATION,
-        (plant.n_u, plant.n_x)) for run_id in run_ids])
+    shape = (plant.n_u, plant.n_x)
+    steps = [_noisy_step(noise_sigma, _noise_rows(seeds, run_id, stop.max_iters, shape))
+             for run_id in run_ids]
+    return _exact_runs(plant, [_Run(K0, schedule, stop, step, "pgd")
+                               for K0, step in zip(K0s, steps)])
 
-    def step(K, pt, eta):
-        return K - eta * (pt.grad + deltas[pt.run, pt.i])
 
-    return _exact(plant, K0s, schedule, stop, step, "pgd")
+def _noise_rows(seeds: SeedSpec, run_id: int, length: int, shape) -> np.ndarray:
+    """Run ``run_id``'s raw gradient noise, one N(0, 1) row per iteration:
+    row i is its (run_id, i) substream, so a shorter draw is a prefix."""
+    return seeds.draw(run_id, range(length), Purpose.PERTURBATION, shape)
+
+
+def _noisy_step(noise_sigma, normals):
+    """Gradient step on the exact gradient plus noise_sigma * normals[i]."""
+    return lambda K, pt, eta: K - eta * (pt.grad + noise_sigma * normals[pt.i])
 
 
 def _natural_step(K, pt, eta):
@@ -416,6 +431,16 @@ def _gauss_newton_schedule(schedule: StepSchedule) -> StepSchedule:
     return schedule
 
 
+def _exact_rule(optimizer: str, plant: PlantModel) -> tuple:
+    """Step rule and step-bound flavor of exact-gradient ``optimizer`` on
+    ``plant``; noisy_pgd adds its noise to the mb_pgd rule."""
+    if optimizer == "mb_npg":
+        return _natural_step, "npg"
+    if optimizer == "mb_gauss_newton":
+        return _gauss_newton_step(plant), "pgd"
+    return _gradient_step, "pgd"
+
+
 def run_mb_pgd(
     plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
 ) -> ConvergenceTrace:
@@ -431,7 +456,7 @@ def run_mb_npg(
     The update equals K - eta * grad C(K) Sigma_K^{-1}; both forms are
     evaluated and must agree to 1e-10, which guards the Lyapunov solves.
     """
-    return _exact(plant, [K0], schedule, stop, _natural_step, "npg")[0]
+    return _exact(plant, [K0], schedule, stop, *_exact_rule("mb_npg", plant))[0]
 
 
 def run_mb_gauss_newton(
@@ -443,7 +468,7 @@ def run_mb_gauss_newton(
     -(R + B'PB)^{-1} B'PA.
     """
     schedule = _gauss_newton_schedule(StepSchedule(kind="fixed", eta=eta))
-    return _exact(plant, [K0], schedule, stop, _gauss_newton_step(plant), "pgd")[0]
+    return _exact(plant, [K0], schedule, stop, *_exact_rule("mb_gauss_newton", plant))[0]
 
 
 def run_noisy_gradient_pgd(
@@ -496,7 +521,7 @@ def _mf_pgd(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, use_vr, n_v,
         return estimate_gradient(oracle, K, cfg, run_id=rid, keep_terms=True), None
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [K0], schedule, stop, _gradient_step, "pgd")
+    return _optimize(direction, [_Run(K0, schedule, stop, _gradient_step, "pgd")])
 
 
 def run_mf_npg(
@@ -539,4 +564,4 @@ def _mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, estimator,
         return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [K0], schedule, stop, step, "npg")
+    return _optimize(direction, [_Run(K0, schedule, stop, step, "npg")])

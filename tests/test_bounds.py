@@ -243,6 +243,15 @@ class TestRequiredAccuracies:
         with pytest.raises(ConfigurationError):
             required_accuracies(NORMS, C0, 1.0, eps=0.1, sigma=1.0)
 
+    @pytest.mark.parametrize("norm_sigma_star, changes", [
+        (0.0, {}), (-1.0, {}), (math.inf, {}), (math.nan, {}),
+        (1.0, {"lam_R": 0.0}), (1.0, {"lam_R": -1.0}), (1.0, {"lam_Sigma_w": 0.0}),
+    ])
+    def test_rejects_bad_plant_scalars(self, norm_sigma_star, changes):
+        norms = dataclasses.replace(NORMS, **changes)
+        with pytest.raises(ConfigurationError):
+            required_accuracies(norms, 4 / 3, norm_sigma_star, eps=0.1, sigma=0.5)
+
 
 class TestIterationCounts:
     def test_golden_formula(self):
@@ -269,6 +278,15 @@ class TestIterationCounts:
         for c0 in (3.0, 1.2):  # also when c0 is already within eps
             with pytest.raises(ConfigurationError):
                 iteration_counts(2.0, 1.0, 1.0, c0, 1.0, 0.5, eta, sigma=sigma)
+
+    @pytest.mark.parametrize("scalars", [
+        (0.0, 1.0, 1.0), (-2.0, 1.0, 1.0), (math.nan, 1.0, 1.0),
+        (2.0, 0.0, 1.0), (2.0, -1.0, 1.0), (2.0, 1.0, 0.0), (2.0, 1.0, math.nan),
+    ])
+    def test_rejects_bad_plant_scalars(self, scalars):
+        for c0 in (3.0, 1.2):  # also when c0 is already within eps
+            with pytest.raises(ConfigurationError):
+                iteration_counts(*scalars, c0, 1.0, 0.5, 0.1)
 
 
 def _sha(*outputs) -> str:

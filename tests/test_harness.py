@@ -453,6 +453,24 @@ class TestCli:
         ("validate", {"optimizer.name": "mb_gauss_newton", "schedule.eta": 0.7},
          "schedule: Gauss-Newton requires a fixed step 0 < eta <= 1/2, "
          "got fixed eta=0.7"),
+        ("validate", {"schedule": {"kind": "fixed", "eta": 0.1, "a": 1}},
+         "schedule.a: not used by schedule kind 'fixed'"),
+        ("validate", {"schedule": {"kind": "adaptive_empirical", "eta": 0.1,
+                                   "a": 0.1, "b": 1, "c": 1}},
+         "schedule.eta: not used by schedule kind 'adaptive_empirical'"),
+        ("validate", {"schedule": {"kind": "adaptive_certified", "c": 1}},
+         "schedule.c: not used by schedule kind 'adaptive_certified'"),
+        ("mb-run", {"optimizer.name": "mb_npg", "plant.noise_cov_scale": 0,
+                    "schedule": {"kind": "adaptive_certified"}},
+         "schedule.kind: adaptive_certified needs a plant with a positive-definite Sigma_w"),
+        ("validate", {"plant": {"A": [[0.5, 0], [0, 0.5]], "B": [[1.0], [0]],
+                                "Q": [[1.0, 0], [0, 1]], "R": [[1.0]],
+                                "Sigma_w": [[1.0, 0], [0, 0]], "Sigma_0": [[1.0, 0], [0, 1]]},
+                      "schedule": {"kind": "adaptive_certified"}},
+         "schedule.kind: adaptive_certified needs a plant with a positive-definite Sigma_w"),
+        ("mb-run", {"plant.noise_cov_scale": 0,
+                    "schedule": {"kind": "adaptive_empirical", "a": 0.1, "b": 1, "c": 1}},
+         "schedule.kind: adaptive_empirical needs a plant with Tr(Sigma_w) > 0"),
     ], ids=["q_scale_text", "q_scale_infinite", "negative_seed", "use_vr_text",
             "n_v_text", "n_v_zero", "noise_sigma_text", "noise_sigma_negative",
             "max_iters_fraction", "rollout_n_fraction",
@@ -464,7 +482,9 @@ class TestCli:
             "eta_disagrees", "eta_with_adaptive_schedule", "noise_sigma_mb_pgd",
             "noise_sigma_gauss_newton", "use_vr_mb_pgd", "use_vr_mf_npg",
             "gauss_newton_adaptive", "gauss_newton_adaptive_with_eta",
-            "gauss_newton_eta_too_large"])
+            "gauss_newton_eta_too_large", "fixed_with_a", "empirical_with_eta",
+            "certified_with_c", "certified_noise_free", "certified_singular_noise",
+            "empirical_noise_free"])
     def test_located_value_errors(self, tmp_path, capsys, command, overrides, message):
         path = self.write(tmp_path, base_config(**overrides))
         argv = {"validate": ["validate", path],
@@ -475,6 +495,13 @@ class TestCli:
         assert message in err
         # The header line and this one violation, nothing else.
         assert len(err.strip().splitlines()) == 2
+
+    def test_adaptive_empirical_takes_singular_noise(self):
+        data = base_config(schedule={"kind": "adaptive_empirical", "a": 0.1, "b": 1, "c": 1})
+        data["plant"] = {"A": [[0.5, 0], [0, 0.5]], "B": [[1.0], [0]], "Q": [[1.0, 0], [0, 1]],
+                         "R": [[1.0]], "Sigma_w": [[1.0, 0], [0, 0]],
+                         "Sigma_0": [[1.0, 0], [0, 1]]}
+        assert config_from_dict(data).schedule.kind == "adaptive_empirical"
 
     def test_exact_prints_quantities(self, tmp_path, capsys):
         path = self.write(tmp_path, base_config())

@@ -1,18 +1,25 @@
-"""A grid's model-free variants run in lockstep and share their draws.
+"""A grid's variants run in lockstep and share their draws.
 
 Repetition rep of every model-free variant of a figure grid is one lockstep
-stack, whose oracles draw through one ``_DrawMemo``. The grid's files must
-equal those of per-variant ``run_monte_carlo`` calls (stacks of one, which
-use no memo) byte for byte, at any thread count, and no draw may be reused
-across calls.
+stack, whose oracles draw through one ``_DrawMemo``. Every run of the
+exact-gradient variants on one plant instance is a member of one lockstep
+stack, and noisy variants of one master seed draw each repetition's noise
+once. The grid's files must equal those of per-variant ``run_monte_carlo``
+calls (stacks of one, which use no memo) byte for byte, at any thread count,
+and no draw may be reused across calls.
 """
 import filecmp
 import math
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from lqrpg import Purpose, SeedSpec, config_from_dict, figure_preset, run_monte_carlo
+from lqrpg import (ConfigurationError, Purpose, SeedSpec, config_from_dict,
+                   figure_preset, run_monte_carlo)
+from lqrpg import optimizers
+from lqrpg.harness import detuned_initial_gain
 from lqrpg.sim import _STREAM_BYTES, _DrawMemo, _color_step
 
 
@@ -37,19 +44,99 @@ def draw_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The number of gains of every ``_exact_stack`` call of the optimizers."""
+    calls = []
+    exact_stack = optimizers._exact_stack
+
+    def counting(plant, Ks):
+        calls.append(len(Ks))
+        return exact_stack(plant, Ks)
+
+    monkeypatch.setattr(optimizers, "_exact_stack", counting)
+    return calls
+
+
+def assert_same_files(single, grid, cfg, repetitions):
+    for var in cfg.variants:
+        files = [f"run_{rep:04d}.csv" for rep in range(repetitions)] + ["aggregate.csv"]
+        match, mismatch, errors = filecmp.cmpfiles(
+            single / var.label, grid / var.label, files, shallow=False)
+        assert (mismatch, errors) == ([], []), (grid.name, var.label)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
 def test_grid_matches_per_variant_runs(tmp_path, name):
     cfg = small_preset(name)
     for var in cfg.variants:
         run_monte_carlo(var, out_dir=str(tmp_path / "single" / var.label))
     for threads in (1, 3):
         run_monte_carlo(cfg, out_dir=str(tmp_path / f"t{threads}"), threads=threads)
-        for var in cfg.variants:
-            files = [f"run_{rep:04d}.csv" for rep in range(2)] + ["aggregate.csv"]
-            match, mismatch, errors = filecmp.cmpfiles(
-                tmp_path / "single" / var.label, tmp_path / f"t{threads}" / var.label,
-                files, shallow=False)
-            assert (mismatch, errors) == ([], []), (threads, var.label)
+        assert_same_files(tmp_path / "single", tmp_path / f"t{threads}", cfg, 2)
+
+
+def mixed_exact_grid():
+    """Every exact-gradient optimizer on one paper3x3 instance from its
+    detuned gain, at 3 repetitions and different iteration caps; the noisy
+    variant at sigma 2 diverges in some repetitions and not in others."""
+    base = {"plant": {"preset": "paper3x3", "noise_cov_scale": 0.5},
+            "gain": {"preset": "zero"}, "monte_carlo": {"repetitions": 3, "master_seed": 4}}
+    fixed = {"kind": "fixed", "eta": 0.05}
+    variants = {
+        "pgd_fixed": ({"name": "mb_pgd", "max_iters": 6}, fixed),
+        "pgd_certified": ({"name": "mb_pgd", "max_iters": 5}, {"kind": "adaptive_certified"}),
+        "npg": ({"name": "mb_npg", "max_iters": 4}, fixed),
+        "gauss_newton": ({"name": "mb_gauss_newton", "max_iters": 3},
+                         {"kind": "fixed", "eta": 0.5}),
+        "noisy_small": ({"name": "noisy_pgd", "max_iters": 8, "noise_sigma": 0.05},
+                        {"kind": "fixed", "eta": 0.1}),
+        "noisy_large": ({"name": "noisy_pgd", "max_iters": 5, "noise_sigma": 2.0},
+                        {"kind": "fixed", "eta": 0.1}),
+    }
+    cfgs = [config_from_dict({**base, "label": label, "optimizer": opt, "schedule": sched})
+            for label, (opt, sched) in variants.items()]
+    plant = cfgs[0].plant
+    K0 = detuned_initial_gain(plant)
+    cfgs = [replace(c, plant=plant, K0=K0) for c in cfgs]
+    return replace(cfgs[0], label="mixed", variants=tuple(cfgs))
+
+
+def test_mixed_exact_grid_is_one_stack_and_matches_per_variant_runs(tmp_path,
+                                                                      stack_calls):
+    cfg = mixed_exact_grid()
+    for var in cfg.variants:
+        run_monte_carlo(var, out_dir=str(tmp_path / "single" / var.label))
+    stack_calls.clear()
+    bundle = run_monte_carlo(cfg, out_dir=str(tmp_path / "grid"))
+    # One stack, evaluated up to the longest cap (8) and once more.
+    assert len(stack_calls) == 9
+    assert_same_files(tmp_path / "single", tmp_path / "grid", cfg, 3)
+    reasons = {sub.label: {t.terminal_reason for t in sub.traces}
+               for sub in bundle.sub_bundles}
+    assert reasons["noisy_large"] == {"diverged", "max_iters"}
+    assert all(r == {"max_iters"} for label, r in reasons.items()
+               if label != "noisy_large")
+
+
+def test_fig1_grid_makes_one_stack_and_one_noise_draw_per_repetition(
+        tmp_path, draw_calls, stack_calls):
+    cfg = small_preset("fig1")
+    run_monte_carlo(cfg, out_dir=str(tmp_path), threads=1)
+    assert len(stack_calls) <= 4
+    noise = [(run_id, ids) for run_id, ids, purpose, _ in draw_calls
+             if purpose == Purpose.PERTURBATION]
+    assert sorted(noise) == [(0, range(3)), (1, range(3))]
+
+
+def test_unstable_gain_of_one_variant_aborts_the_grid(tmp_path):
+    cfg = small_preset("fig1")
+    variants = list(cfg.variants)
+    variants[3] = replace(variants[3], K0=np.full_like(variants[3].K0, 10.0))
+    with pytest.raises(ConfigurationError, match="K0 is not stabilizing"):
+        run_monte_carlo(replace(cfg, variants=tuple(variants)),
+                        out_dir=str(tmp_path / "out"))
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_no_draw_is_reused_across_grid_calls(tmp_path, draw_calls):
