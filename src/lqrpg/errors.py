@@ -42,6 +42,6 @@ class OverflowedRollout(LqrpgError):
     first offending time index.
     """
 
-    def __init__(self, message, step):
+    def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step

@@ -4,10 +4,11 @@ presets, bounds reports, and CSV/JSON artifact emission.
 Configs are strict: unknown keys are rejected and every violation is
 reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
-byte-identical for a fixed seed regardless of the thread count. The variants
+byte-identical for a fixed seed regardless of the worker count. The variants
 of a grid share these substreams, so its model-free variants run in lockstep,
-a repetition at a time, and make each iteration's draws once; its
-exact-gradient variants run as one lockstep stack per plant instance.
+a repetition per worker process (fork start method), and make each
+iteration's draws once; its exact-gradient variants run as one lockstep stack
+per plant instance.
 """
 from __future__ import annotations
 
@@ -542,21 +543,26 @@ def run_monte_carlo(
     The exact-gradient variants (mb_pgd, mb_npg, mb_gauss_newton, noisy_pgd)
     on one plant instance run as one lockstep stack. Repetition rep of every
     model-free variant (mf_pgd, mf_npg) is one lockstep stack whose variants
-    share their seeded draws; ``threads`` spreads these over a thread pool.
-    Results are collected in repetition order, so outputs do not depend on
-    the thread count. Every stack runs before any file is written; a
-    manifest's time counts from the start of its variant's stack(s).
+    share their seeded draws; ``threads`` spreads these over worker processes
+    (fork start method), which get each plant with its optimum solved here
+    and raise their errors here. Results are collected in repetition order,
+    so outputs do not depend on the worker count. Every stack runs before
+    any file is written; a manifest's time counts from its stack(s)' start.
     """
     t0 = time.monotonic()
     variants = cfg.variants or (cfg,)
     free = [v for v in variants if OPTIMIZERS[v.optimizer] == "mf"]
     reps = max((v.repetitions for v in free), default=0)
-    workers = min(os.cpu_count() or 1, reps) if threads == "auto" else int(threads)
+    workers = min((os.cpu_count() or 1) if threads == "auto" else int(threads), reps)
     stacks = [[v for v in free if rep < v.repetitions] for rep in range(reps)]
-    if workers > 1 and reps > 1:
+    for v in free:
+        solve_dare(v.plant)
+    if workers > 1:
         import concurrent.futures
+        import multiprocessing
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        fork = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork) as pool:
             done = list(pool.map(_run_stack, stacks, range(reps)))
     else:
         done = list(map(_run_stack, stacks, range(reps)))

@@ -88,6 +88,14 @@ class PlantModel:
             if smallest_eigenvalue(getattr(self, name)) < -1e-12:
                 raise ConfigurationError(f"{name} must be positive semidefinite")
 
+    def __setstate__(self, state):
+        # Unpickled arrays are writable; solve_dare's cache needs them frozen.
+        self.__dict__.update(state)
+        opt = state.get("_optimum")
+        for m in [*state.values(), *(vars(opt).values() if opt else ())]:
+            if isinstance(m, np.ndarray):
+                m.setflags(write=False)
+
     @property
     def n_x(self) -> int:
         return self.A.shape[0]

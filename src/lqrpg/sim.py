@@ -6,9 +6,9 @@ no matter how callers parallelize. The substream of a key is the PCG64 stream
 that ``np.random.SeedSequence(master_seed, spawn_key=(run_id, rollout_id,
 purpose))`` seeds, bit for bit; :meth:`SeedSpec.draw` hashes the keys of a
 whole batch of rollout ids at once, and PCG64's seeding of each, and writes
-each id's state into one generator's ``pcg64_random_t`` (assumed to be
-(state, inc), checked once per call) under one lock across threads. The
-:class:`RolloutOracle` wraps a plant behind an interface that never exposes
+each id's state into the ``pcg64_random_t`` of one generator per call
+(assumed to be (state, inc), checked once per call). The :class:`RolloutOracle`
+wraps a plant behind an interface that never exposes
 (A, B, Sigma_w), which is the model-free contract the estimators rely on: it
 draws and rolls out whole batches and prices them with
 :func:`empirical_cost`, the one stage-cost formula. A batch is one time-major
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,10 +154,6 @@ def _seeded(state: np.ndarray):
     return gen, view
 
 
-# Serialises SeedSpec.draw's per-id fills (each releases the GIL) across threads.
-_DRAW_LOCK = threading.Lock()
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """Root of the deterministic stream hierarchy.
@@ -227,9 +222,8 @@ class SeedSpec:
         out = np.empty((len(states), *shape))
         if len(out):
             gen, state = _seeded(states[0])
-            with _DRAW_LOCK:
-                for state[:], row in zip(states, out):
-                    gen.standard_normal(out=row)
+            for state[:], row in zip(states, out):
+                gen.standard_normal(out=row)
         return out
 
     def generator(
