@@ -43,7 +43,7 @@ def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     Checks shapes, finiteness and the spectral radius of M, then solves in
     the core shared with ``exact_quantities``: (I - M (x) M) vec(X) = vec(W)
     at desk scale, fixed-point iteration beyond ``_KRON_MAX_DIM``. The result
-    is symmetrized and checked to residual 1e-10 * max(1, ||W||_F).
+    is symmetrized and passes the core's backward-error test.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -64,8 +64,9 @@ def solve_discrete_lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Solver core: X_j = M_j X_j M_j' + W_j for stacks M and W of shape
     (m, n, n), every M_j known to be Schur stable. W = Q + K'RK can overflow
-    for a finite K when n_u > n_x. Each X_j is checked to its own residual
-    tolerance."""
+    for a finite K when n_u > n_x. Each X_j must pass the backward-error test
+    ||X - M X M' - W||_F <= 2^14 u (||M||_F^2 ||X||_F + ||W||_F), u = 2^-53
+    (Higham 2002, ch. 16), which admits the fixed point's 1e-12 truncation."""
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(W))):
         raise NumericError("non-finite entries in Lyapunov data")
     m, n = M.shape[:2]
@@ -89,15 +90,15 @@ def _lyapunov(M: np.ndarray, W: np.ndarray) -> np.ndarray:
             for _ in range(200_000):
                 term = M[j] @ term @ M[j].T
                 X[j] += term
-                if np.linalg.norm(term, "fro") <= 1e-12 * max(1.0, np.linalg.norm(X[j], "fro")):
+                if np.linalg.norm(term, "fro") <= 1e-12 * np.linalg.norm(X[j], "fro"):
                     break
             else:
                 raise ConvergenceError("Lyapunov fixed point did not converge")
 
     X = _symmetrize(X)
-    resid = np.linalg.norm(X - M @ X @ M.swapaxes(-1, -2) - W, "fro", axis=(-2, -1))
-    tol = 1e-10 * np.maximum(1.0, np.linalg.norm(W, "fro", axis=(-2, -1)))
-    if np.any(resid > tol):
+    R = X - M @ X @ M.swapaxes(-1, -2) - W
+    resid, M_F, X_F, W_F = np.linalg.norm(np.stack([R, M, X, W]), "fro", axis=(-2, -1))
+    if np.any(resid > 2.0**14 * 2.0**-53 * (M_F**2 * X_F + W_F)):
         raise NumericError(f"Lyapunov residual {resid.max():.3e} above tolerance")
     return X
 

@@ -14,13 +14,15 @@ draws and rolls out whole batches and prices them with
 :func:`empirical_cost`, the one stage-cost formula. A batch is one time-major
 buffer (l, n, n_x), of noise, then states; :meth:`RolloutOracle.rollout_costs`
 streams a cost-only batch through one reused buffer of a chunk of ids, with
-the whole batch's bytes. The oracles of a lockstep stack of runs draw through
-one :class:`_DrawMemo`.
+the whole batch's bytes; the importing process splits a batch of two or more
+chunks with one forked child per other CPU. The oracles of a lockstep stack
+of runs draw through one :class:`_DrawMemo`.
 """
 from __future__ import annotations
 
 import enum
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +67,7 @@ _M32 = (1 << 32) - 1
 _SEED_CHUNK, _CHUNK_NORMALS = 256, 2**17
 # Bytes of states that RolloutOracle.rollout_costs holds per streamed chunk.
 _STREAM_BYTES = 2**22
+_HOME_PID = os.getpid()  # the only process that forks chunk children
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
 # that _batch_cost prices per array pass.
 _EINSUM_BUFFER, _COST_CHUNK = 8192, 8
@@ -584,20 +587,59 @@ class RolloutOracle:
         streams through one reused buffer, a chunk of ids at a time
         (:func:`_stream_edges`); each chunk is :meth:`rollout_batch` then
         :meth:`stage_cost`, and the costs are the whole batch's, bit for bit.
-        Chunks after the first that overflows are not simulated."""
+        In the process that imported this module, a batch of two or more
+        chunks is split into runs of whole chunks, one per usable CPU, that
+        it and forked children price into shared memory before it returns.
+        Chunks after the first that overflows in a run are not simulated."""
+        def stream(costs, edges):
+            buf = np.empty((l, max(np.diff(edges)), self.n_x))
+            for a, b in zip(edges, edges[1:]):
+                states, overflow = self.rollout_batch(Ks[a:b], x0s[a:b], l, run_id,
+                                                      rollout_ids[a:b], purpose,
+                                                      out=buf[:, :b - a])
+                if np.any(overflow >= 0):
+                    return a + int(np.argmax(overflow >= 0))
+                # Finite states can still give costs that overflow to inf.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    costs[a:b] = self.stage_cost(states, Ks[a:b])
+            return None
+
         edges = _stream_edges(len(rollout_ids), l, self.n_x)
-        buf = np.empty((l, max(np.diff(edges)), self.n_x))
-        costs = np.empty(len(rollout_ids))
-        for a, b in zip(edges, edges[1:]):
-            states, overflow = self.rollout_batch(Ks[a:b], x0s[a:b], l, run_id,
-                                                  rollout_ids[a:b], purpose,
-                                                  out=buf[:, :b - a])
-            if np.any(overflow >= 0):
-                return None, a + int(np.argmax(overflow >= 0))
-            # Finite states can still give costs that overflow to inf.
-            with np.errstate(over="ignore", invalid="ignore"):
-                costs[a:b] = self.stage_cost(states, Ks[a:b])
-        return costs, None
+        cpus = len(os.sched_getaffinity(0)) if os.getpid() == _HOME_PID else 1
+        if (procs := min(cpus, len(edges) - 1)) == 1:
+            costs = np.empty(len(rollout_ids))
+            bad = stream(costs, edges)
+            return (costs, None) if bad is None else (None, bad)
+        import mmap
+        import signal
+        # Process p prices edges[cuts[p]:cuts[p + 1] + 1]; child p sets bads[p].
+        cuts = [p * (len(edges) - 1) // procs for p in range(procs + 1)]
+        shared = mmap.mmap(-1, 8 * (len(rollout_ids) + procs))
+        costs = np.frombuffer(shared, count=len(rollout_ids))
+        bads = np.frombuffer(shared, np.int64, offset=costs.nbytes)
+        pids = []
+        try:
+            for p in range(1, procs):
+                if (pid := os.fork()) == 0:
+                    status = 1
+                    try:
+                        bad = stream(costs, edges[cuts[p]:cuts[p + 1] + 1])
+                        bads[p], status = -1 if bad is None else bad, 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            bad = stream(costs, edges[:cuts[1] + 1])
+            while pids and bad is None:
+                p, status = procs - len(pids), os.waitpid(pids[0], 0)[1]
+                del pids[0]
+                if status := os.waitstatus_to_exitcode(status):
+                    raise RuntimeError(f"rollout chunk process exit status {status}")
+                bad = None if bads[p] < 0 else int(bads[p])
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        return (costs.copy(), None) if bad is None else (None, bad)
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a time-major batch of states

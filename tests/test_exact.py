@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import lqrpg.exact
 from lqrpg import (
     InstabilityError,
+    NumericError,
     closed_loop,
     exact_quantities,
     finite_horizon_quantities,
@@ -44,6 +45,37 @@ class TestLyapunov:
         W = np.eye(n)
         X = solve_discrete_lyapunov(M, W)
         np.testing.assert_allclose(X, (4.0 / 3.0) * np.eye(n), atol=1e-9)
+
+
+class TestLyapunovCheck:
+    """The solve passes a normwise backward-error test, so a wrong solution
+    is refused and an accurate one is accepted however large it is."""
+
+    M = np.array([[0.5, 1.0], [0.0, 0.3]])  # not normal: M X M' != M' X M
+    W = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("wrong", [
+        lambda solve, a, b: solve(a, b) * (1 + 1e-8),
+        lambda solve, a, b: solve(a.swapaxes(-1, -2), b),  # X = M' X M + W
+    ], ids=["scaled", "transposed"])
+    def test_wrong_solutions_are_refused(self, wrong, monkeypatch):
+        solve_discrete_lyapunov(self.M, self.W)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: wrong(solve, a, b))
+        with pytest.raises(NumericError, match="Lyapunov residual"):
+            solve_discrete_lyapunov(self.M, self.W)
+
+    def test_accurate_ill_conditioned_solution_is_accepted(self):
+        """||X|| = 2.5e12 from ||W|| = 1.4: the residual, 5e-9, is past the
+        former 1e-10 max(1, ||W||) but within 2^14 u ||M||^2 ||X||."""
+        M, W = np.array([[0.999, 100.0], [0.0, 0.999]]), np.eye(2)
+        X = solve_discrete_lyapunov(M, W)
+        assert np.linalg.norm(X - M @ X @ M.T - W) > 1e-10 * np.linalg.norm(W)
+        # Smith's doubling: the series sum_k M^k W M'^k, 2^40 terms.
+        ref, P = W.copy(), M.copy()
+        for _ in range(40):
+            ref, P = ref + P @ ref @ P.T, P @ P
+        np.testing.assert_allclose(X, ref, rtol=1e-12)
 
 
 class TestExactQuantities:

@@ -615,11 +615,11 @@ class TestEmpirical:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, lqrpg; print('numpy.random' in sys.modules, "
-                "'concurrent.futures' in sys.modules)")
+                "'concurrent.futures' in sys.modules, 'mmap' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert proc.stdout.strip() == "False False False"
 
     def test_covariance_by_hand(self):
         states = np.array([[1.0, 0.0], [0.0, 2.0]])

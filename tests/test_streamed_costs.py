@@ -1,6 +1,8 @@
 """Cost-only rollouts streamed through one chunk buffer
 (RolloutOracle.rollout_costs) against the whole batch, byte for byte."""
+import dataclasses
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,9 @@ from lqrpg import (
     RolloutOracle,
     SeedSpec,
     estimate_gradient,
+    figure_preset,
     paper3x3,
+    run_monte_carlo,
     solve_dare,
 )
 from lqrpg import estimators, sim
@@ -146,3 +150,116 @@ class TestStreamedCosts:
                 tracemalloc.stop()
             assert bad is None and baselines.shape == (m,)
             assert peak <= 2 * sim._STREAM_BYTES
+
+
+@pytest.fixture
+def cpus(request, monkeypatch):
+    """As many usable CPUs as the test asks for, a count of the forks this
+    process makes, and a check that every chunk child is reaped."""
+    monkeypatch.setattr(sim, "_STREAM_BYTES", BUDGET)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+class TestSplitCosts:
+    """A batch of two or more chunks split over chunk children, against the
+    same batch rolled out whole."""
+
+    @staticmethod
+    def batch(n, seed=0):
+        plant = paper3x3(noise_scale=0.01)
+        oracle = RolloutOracle(plant, SeedSpec(seed))
+        rng = np.random.default_rng(seed)
+        K = solve_dare(plant).K_star
+        per_row = K + 0.05 * rng.standard_normal((n, *K.shape))
+        return oracle, per_row, rng.standard_normal((n, plant.n_x))
+
+    def test_forked_costs_match_whole_batch_bitwise(self, cpus):
+        C = chunk_size(100, 3)
+        for n in [2 * C + 1, 3 * C + 5]:
+            oracle, per_row, x0s = self.batch(n)
+            shared = np.broadcast_to(per_row[0], per_row.shape)
+            for Ks, purpose in itertools.product([per_row, shared],
+                                                 [Purpose.NOISE, Purpose.BASELINE]):
+                del cpus[:]
+                costs, bad = oracle.rollout_costs(Ks, x0s, 100, 1, range(n), purpose)
+                ref, _ = whole_batch(oracle, Ks, x0s, 100, 1, range(n), purpose)
+                assert cpus and bad is None and costs.tobytes() == ref.tobytes()
+
+    def test_first_overflow_of_the_whole_batch(self, cpus):
+        """An overflow in the last child's run, and one in the caller's run
+        ahead of another in a child's, each give the batch's first index."""
+        C = chunk_size(100, 3)
+        n = 3 * C + 5
+        oracle, per_row, x0s = self.batch(n, seed=1)
+        for blown in [[3 * C], [C + 7, 3 * C], [5, 2 * C + 3]]:
+            Ks = per_row.copy()
+            Ks[blown] = 1e150
+            costs, bad = oracle.rollout_costs(Ks, x0s, 100, 2, range(n))
+            ref = whole_batch(oracle, Ks, x0s, 100, 2, range(n), Purpose.NOISE)
+            assert (costs, bad) == (None, blown[0]) == (None, ref[1])
+
+    def test_child_error_reaches_the_caller(self, cpus, monkeypatch):
+        caller, simulate_batch = os.getpid(), sim.simulate_batch
+
+        def fails_in_children(*args):
+            if os.getpid() != caller:
+                raise ValueError("boom")
+            return simulate_batch(*args)
+
+        monkeypatch.setattr(sim, "simulate_batch", fails_in_children)
+        oracle, per_row, x0s = self.batch(3 * chunk_size(100, 3) + 5)
+        with pytest.raises(RuntimeError, match="exit status 1"):
+            oracle.rollout_costs(per_row, x0s, 100, 0, range(len(per_row)))
+
+    def test_caller_error_kills_the_children(self, cpus, monkeypatch):
+        caller, simulate_batch = os.getpid(), sim.simulate_batch
+
+        def interrupted_in_caller(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return simulate_batch(*args)
+
+        monkeypatch.setattr(sim, "simulate_batch", interrupted_in_caller)
+        oracle, per_row, x0s = self.batch(3 * chunk_size(100, 3) + 5)
+        with pytest.raises(KeyboardInterrupt):
+            oracle.rollout_costs(per_row, x0s, 100, 0, range(len(per_row)))
+        assert cpus
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_harness_workers_fork_no_chunk_children(cpus, tmp_path, monkeypatch):
+    """fig3's grid forks chunk children from the caller at one worker, and
+    none from its workers at two, with the same outputs."""
+    caller, counted = os.getpid(), os.fork
+
+    def caller_only():
+        if os.getpid() != caller:
+            raise AssertionError("a harness worker forked")
+        return counted()
+
+    monkeypatch.setattr(os, "fork", caller_only)
+    cfg = figure_preset("fig3", repetitions=2)
+    cfg = dataclasses.replace(cfg, variants=tuple(
+        dataclasses.replace(v, stop=dataclasses.replace(v.stop, max_iters=1))
+        for v in cfg.variants))
+    assert any(v.use_vr for v in cfg.variants)
+    files, forks = {}, {}
+    for threads in (1, 2):
+        del cpus[:]
+        bundle = run_monte_carlo(cfg, out_dir=str(tmp_path / str(threads)),
+                                 threads=threads)
+        files[threads] = [open(p).read() for sub in bundle.sub_bundles
+                          for p in sub.run_paths]
+        forks[threads] = len(cpus)
+    assert forks[1] > 0 and files[1] == files[2]

@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
@@ -89,14 +90,26 @@ def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_call(
     assert len(bundle.traces) == 3
     assert multiprocessing.active_children() == []
 
+    # Repetition 0 fails at once; each later one marks its start, then takes
+    # 0.2 s to fail. The first error cancels the stacks not yet handed to a
+    # worker: only the 2 running and the few in the pool's call queue start.
+    started = tmp_path / "started"
+    started.mkdir()
+
     def overflow(*args, **kwargs):
+        offset = args[-1]
+        (started / str(offset)).touch()
+        if offset:
+            time.sleep(0.2)
         error = OverflowedRollout("boom", step=3)
         error.pid = os.getpid()
         raise error
 
     monkeypatch.setattr(harness, "_mf_pgd", overflow)
+    cfg = dataclasses.replace(cfg, repetitions=16)
     with pytest.raises(OverflowedRollout, match="boom") as info:
         run_monte_carlo(cfg, out_dir=str(tmp_path / "failed"), threads=2)
     assert info.value.step == 3
     assert info.value.pid != os.getpid()
     assert multiprocessing.active_children() == []
+    assert "0" in os.listdir(started) and len(os.listdir(started)) <= 7
