@@ -12,7 +12,6 @@ per plant instance.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -48,7 +47,6 @@ from .optimizers import (
     _mf_npg,
     _mf_pgd,
     _noise_rows,
-    _noisy_step,
     _round_robin,
 )
 from . import plants as _plants
@@ -425,10 +423,11 @@ def _run_exact(cfgs: list[ExperimentConfig]) -> list[tuple[list, float]]:
     for j, cfg in enumerate(cfgs):
         step, flavor = _exact_rule(cfg.optimizer, cfg.plant)
         shape = (cfg.plant.n_u, cfg.plant.n_x)
-        steps = [_noisy_step(cfg.noise_sigma, normals(cfg.master_seed, rep, shape))
-                 for rep in range(cfg.repetitions)] if cfg.noise_sigma > 0 else [step]
-        stacks.setdefault(id(cfg.plant), (cfg.plant, []))[1].extend(
-            (j, _Run(cfg.K0, cfg.schedule, cfg.stop, s, flavor)) for s in steps)
+        runs = [_Run(cfg.K0, cfg.schedule, cfg.stop, step, flavor, cfg.noise_sigma,
+                     normals(cfg.master_seed, rep, shape))
+                for rep in range(cfg.repetitions)] if cfg.noise_sigma > 0 else [
+            _Run(cfg.K0, cfg.schedule, cfg.stop, step, flavor)]
+        stacks.setdefault(id(cfg.plant), (cfg.plant, []))[1].extend((j, r) for r in runs)
     traces, starts = [[] for _ in cfgs], {}
     for plant, members in stacks.values():
         start = time.monotonic()
@@ -457,19 +456,16 @@ def _run_stack(cfgs: list[ExperimentConfig], rep: int) -> list[ConvergenceTrace]
     return [traces[0] for traces in _round_robin(loops)]
 
 
-def _write_run_csv(path: str, run_id: int, trace: ConvergenceTrace) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for rec in trace.records:
-            w.writerow([
-                run_id, rec.i, _fmt(rec.cost), _fmt(rec.rel_subopt),
-                _fmt(rec.step), _fmt(rec.grad_norm), rec.status,
-            ])
+def _csv_rows(trace: ConvergenceTrace) -> list[str]:
+    """The run-file rows of ``trace`` after their run_id column, as
+    ``csv.writer`` writes the ``_fmt`` of its floats."""
+    return [f"{r.i},{r.cost:.17g},"
+            f"{'' if r.rel_subopt is None else format(r.rel_subopt, '.17g')},"
+            f"{r.step:.17g},{r.grad_norm:.17g},{r.status}" for r in trace.records]
 
 
-def _write_run_json(path: str, run_id: int, trace: ConvergenceTrace) -> None:
-    payload = {
+def _json_text(run_id: int, trace: ConvergenceTrace) -> str:
+    return json.dumps({
         "run_id": run_id,
         "terminal_reason": trace.terminal_reason,
         "records": [
@@ -480,40 +476,41 @@ def _write_run_json(path: str, run_id: int, trace: ConvergenceTrace) -> None:
             }
             for rec in trace.records
         ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    }, indent=2) + "\n"
 
 
-def _aggregate_rows(traces: list[ConvergenceTrace]) -> list[list]:
-    """Aggregate rel_subopt across runs per iteration index.
+def _aggregate_lines(traces: list[ConvergenceTrace]) -> list[str]:
+    """Aggregate rel_subopt across runs per iteration index, one CSV line per
+    index, as ``csv.writer`` writes the ``_fmt`` of each statistic.
 
     Diverged runs stop contributing to the means at the index where they
-    diverge; they are counted in diverged_count instead.
+    diverge; they are counted in diverged_count instead. The iterations with
+    k values take their means as the rows of one (iterations, k) array of
+    their values in run order: a contiguous reduction per row, bitwise
+    ``np.mean`` of the list, where a column mean would sum in another order.
     """
-    max_len = max(len(t.records) for t in traces)
-    div_idxs = [next((r.i for r in t.records if r.status == "diverged"), None)
-                for t in traces]
-    rows = []
-    for i in range(max_len):
-        vals = []
-        diverged = 0
-        for t, div_idx in zip(traces, div_idxs):
-            if div_idx is not None and i >= div_idx:
-                diverged += 1
-                continue
-            if i < len(t.records):
-                rec = t.records[i]
-                if rec.status == "ok" and rec.rel_subopt is not None \
-                        and math.isfinite(rec.rel_subopt):
-                    vals.append(rec.rel_subopt)
-        if vals:
-            rows.append([i, _fmt(float(np.mean(vals))), _fmt(min(vals)),
-                         _fmt(max(vals)), diverged])
-        else:
-            rows.append([i, "", "", "", diverged])
-    return rows
+    max_len, columns = max(len(t.records) for t in traces), {}
+    rel = np.full((len(traces), max_len), np.nan)
+    div = np.full(len(traces), max_len)
+    for j, t in enumerate(traces):  # a trace shared by repetitions is read once
+        if id(t) not in columns:
+            columns[id(t)] = (
+                [r.rel_subopt if r.status == "ok" and r.rel_subopt is not None
+                 else math.nan for r in t.records],
+                next((r.i for r in t.records if r.status == "diverged"), max_len))
+        vals, div[j] = columns[id(t)]
+        rel[j, :len(vals)] = vals
+    rel, steps = rel.T, np.arange(max_len)[:, None]
+    valid = np.isfinite(rel) & (div > steps)
+    count, mean = valid.sum(axis=1), np.empty(max_len)
+    for k in set(count.tolist()) - {0}:
+        mean[count == k] = rel[count == k][valid[count == k]].reshape(-1, k).mean(axis=1)
+    stats = zip(count.tolist(), mean.tolist(),
+                np.min(rel, axis=1, where=valid, initial=np.inf).tolist(),
+                np.max(rel, axis=1, where=valid, initial=-np.inf).tolist(),
+                (div <= steps).sum(axis=1).tolist())
+    return [f"{i},{mu:.17g},{lo:.17g},{hi:.17g},{d}" if n else f"{i},,,,{d}"
+            for i, (n, mu, lo, hi, d) in enumerate(stats)]
 
 
 @functools.cache
@@ -581,9 +578,8 @@ def run_monte_carlo(
     os.makedirs(base, exist_ok=True)
     manifest_path = os.path.join(base, "manifest.json")
     with open(manifest_path, "w") as fh:
-        json.dump({"label": cfg.label,
-                   "variants": [s.label for s in subs]}, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({"label": cfg.label,
+                             "variants": [s.label for s in subs]}, indent=2) + "\n")
     return OutputBundle(out_dir=base, run_paths=[], aggregate_path="",
                         manifest_path=manifest_path, traces=[], label=cfg.label,
                         sub_bundles=tuple(subs))
@@ -594,21 +590,24 @@ def _emit(cfg: ExperimentConfig, out_dir: str, traces: list[ConvergenceTrace],
     """Write the run files, aggregate and manifest of ``cfg``'s ``traces``."""
     os.makedirs(out_dir, exist_ok=True)
     ext = "csv" if cfg.out_format == "csv" else "json"
-    run_paths = []
+    run_paths, rows = [], {}
     for rep, trace in enumerate(traces):
         path = os.path.join(out_dir, f"run_{rep:04d}.{ext}")
-        if ext == "csv":
-            _write_run_csv(path, rep, trace)
+        if ext == "csv":  # a trace shared by repetitions is formatted once
+            if id(trace) not in rows:
+                rows[id(trace)] = _csv_rows(trace)
+            text = ",".join(CSV_COLUMNS) + f"\r\n{rep}," + f"\r\n{rep},".join(
+                rows[id(trace)]) + "\r\n"
         else:
-            _write_run_json(path, rep, trace)
+            text = _json_text(rep, trace)
+        with open(path, "w", newline="" if ext == "csv" else None) as fh:
+            fh.write(text)
         run_paths.append(path)
 
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
+    header = "iteration,mean_rel_subopt,min_rel_subopt,max_rel_subopt,diverged_count"
     with open(aggregate_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "mean_rel_subopt", "min_rel_subopt",
-                    "max_rel_subopt", "diverged_count"])
-        w.writerows(_aggregate_rows(traces))
+        fh.write("\r\n".join([header, *_aggregate_lines(traces)]) + "\r\n")
 
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {
@@ -621,8 +620,7 @@ def _emit(cfg: ExperimentConfig, out_dir: str, traces: list[ConvergenceTrace],
         "wall_time_s": time.monotonic() - t0,
     }
     with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
     return OutputBundle(
         out_dir=out_dir, run_paths=run_paths, aggregate_path=aggregate_path,

@@ -9,11 +9,11 @@ direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
 zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
 run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
-The loop advances a stack of runs in lockstep and yields after each
-iteration, and each run has its own rules; :func:`_round_robin` drives
-several loops one iteration each in turn. The public functions run a stack
-of one, the harness runs every exact-gradient run of a grid on one plant
-as one stack, and a grid's model-free variants as loops driven round-robin.
+The loop holds a stack of runs as arrays and advances it in lockstep,
+yielding after each iteration; each run has its own rules, and each step
+rule moves all of its runs at once. :func:`_round_robin` drives several
+loops one iteration each in turn. The public functions run a stack of one,
+the harness every exact-gradient run of a grid on one plant as one stack.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
 from .errors import ConfigurationError
 from .estimators import (estimate_gradient, estimate_gradient_covariance,
                          estimate_gradient_vr)
-from .exact import ClosedLoopQuantities, _exact_stack, _not_stabilizing, solve_dare
+from .exact import _Stack, _exact_stack, _not_stabilizing, solve_dare
 from .plants import PlantModel, smallest_eigenvalue
 from .sim import Purpose, RolloutConfig, RolloutOracle, SeedSpec
 
@@ -164,33 +164,12 @@ class ConvergenceTrace:
         return any(r.status == "diverged" for r in self.records)
 
 
-def _rel_subopt(cost: float, c_star: float | None) -> float | None:
-    if c_star is None or c_star == 0:
-        return None
-    return (cost - c_star) / c_star
-
-
-def _stop_reason(stop: StopRule, i: int, rel: float | None, grad_norm: float):
-    """Terminal reason at iteration ``i``, or None to keep stepping."""
-    if i >= stop.max_iters:
-        return "max_iters"
-    if stop.rel_subopt_tol is not None and rel is not None and rel <= stop.rel_subopt_tol:
-        return "converged"
-    if stop.grad_tol is not None and grad_norm <= stop.grad_tol:
-        return "stationary"
-    return None
-
-
-class _Point(NamedTuple):
-    """One evaluation of a run's current gain at iteration ``i``: its cost,
-    the (estimated) gradient, and the exact quantities or covariance
-    estimate behind them."""
-
-    i: int
-    cost: float
-    grad: np.ndarray
-    q: ClosedLoopQuantities | None = None
-    cov: object = None
+def _fro(X: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a stack of matrices, each bitwise equal to
+    ``np.linalg.norm(X[j], "fro")``; the stacked ``np.linalg.norm`` sums in
+    another order."""
+    flat = X.reshape(-1, X.shape[-2] * X.shape[-1])
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 class _Exact:
@@ -214,22 +193,13 @@ class _Exact:
     def start(self, K0s) -> list[np.ndarray]:
         return [self.plant.check_gain(K0) for K0 in K0s]
 
-    def evaluate(self, Ks: list, runs: list[int], i: int) -> list[_Point | None]:
-        s = _exact_stack(self.plant, np.array([Ks[r] for r in runs]))
+    def evaluate(self, Ks: np.ndarray, i: int):
+        s = _exact_stack(self.plant, Ks)
         stable = s.rho < 1.0
         if i == 0 and not stable.all():
             exc = _not_stabilizing(float(s.rho[~stable][0]))
             raise ConfigurationError(f"K0 is not stabilizing: {exc}") from exc
-        points, j = [], 0
-        for r, ok in zip(runs, stable):
-            if not ok:
-                points.append(None)
-                continue
-            q = ClosedLoopQuantities(P=s.P[j], Sigma=s.Sigma[j], E=s.E[j],
-                                     cost=float(s.cost[j]), grad=s.grad[j])
-            points.append(_Point(i, q.cost, q.grad, q=q))
-            j += 1
-        return points
+        return stable, s
 
 
 class _Estimated:
@@ -239,7 +209,8 @@ class _Estimated:
     The recorded cost is the mean of the iteration's rollout costs, the only
     cost observable without the model. Every estimate uses ``rollout_cfg``,
     with run id ``run_offset + i`` at iteration i, unless the testing hook
-    ``estimator(K, i)`` replaces it.
+    ``estimator(K, i)`` replaces it. The estimated covariance, unless it
+    failed, stands in for Sigma_K.
     """
 
     failure = "estimate_failed"
@@ -255,102 +226,158 @@ class _Estimated:
     def start(self, K0s) -> list[np.ndarray]:
         return [np.asarray(K0, dtype=float) for K0 in K0s]
 
-    def evaluate(self, Ks: list, runs: list[int], i: int) -> list[_Point | None]:
-        (r,) = runs
+    def evaluate(self, Ks: np.ndarray, i: int):
+        (K,) = Ks
         if self.estimator is not None:
-            g, cov = self.estimator(Ks[r], i)
+            g, cov = self.estimator(K, i)
         else:
-            g, cov = self.estimate(Ks[r], self.rollout_cfg, self.run_offset + i)
-        if g.failed:
-            return [None]
+            g, cov = self.estimate(K, self.rollout_cfg, self.run_offset + i)
+        ok = np.array([not g.failed])
         cost = math.nan
-        if g.rollout_costs is not None and len(g.rollout_costs):
+        if ok[0] and g.rollout_costs is not None and len(g.rollout_costs):
             cost = float(np.mean(g.rollout_costs))
-        return [_Point(i, cost, g.value, cov=cov)]
+        Sigma = None if cov is None or cov.failed else cov.value[None][ok]
+        return ok, _Stack(None, None, Sigma, None, np.array([cost])[ok], g.value[None][ok])
 
 
-class _Run:
+class _Run(NamedTuple):
     """Start gain, schedule, stop rule, step rule and step-bound flavor of
-    one run, then its records, divergence ceiling, failure count and end."""
+    one run, and for a noisy run its sigma and N(0, 1) noise rows."""
 
-    def __init__(self, K0, schedule: StepSchedule, stop: StopRule, step, flavor: str):
-        self.K0, self.schedule, self.stop = K0, schedule, stop
-        self.step, self.flavor = step, flavor
-        self.records: list[IterationRecord] = []
-        self.ceiling = None
-        self.failures = 0
-        self.reason = None
+    K0: np.ndarray
+    schedule: StepSchedule
+    stop: StopRule
+    step: object
+    flavor: str
+    sigma: float = 0.0
+    normals: np.ndarray | None = None
 
-    def record(self, cost, rel, eta, grad_norm, status="ok"):
-        self.records.append(IterationRecord(
-            i=len(self.records), cost=float(cost), rel_subopt=rel, step=float(eta),
-            grad_norm=float(grad_norm), status=status,
-        ))
+
+# Terminal reasons by code; 0 keeps a run stepping.
+_REASONS = (None, "max_iters", "converged", "stationary", "diverged",
+            "too_many_failures")
 
 
 def _optimize(direction, runs: list[_Run]):
     """The one optimization loop, over a stack of runs in lockstep: a
     generator that yields None after each iteration, then the traces.
 
-    Each iteration evaluates the current gains of the runs still active in
-    one ``direction.evaluate`` call. A run stops on divergence (an infinite
+    The stack's state is arrays: its gains ``Ks`` (m, n_u, n_x), the index
+    array of its live runs, and per run a divergence ceiling, a failure count
+    and a terminal reason (``_REASONS``). Each iteration evaluates the live
+    gains in one ``direction.evaluate`` call, which returns an ok mask and
+    the ``_Stack`` of the ok runs. A run stops on divergence (an infinite
     cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR`` times its
-    first finite cost) or its stop rule, and otherwise moves to its
-    ``step(K, point, eta)`` with the step of its schedule. Before a finite
-    cost a NaN cost is unobservable, not divergence. A failed evaluation ends
-    the run as ``direction.failure`` "diverged"; otherwise it counts, like a
-    step that returns None, toward ``MAX_CONSECUTIVE_FAILURES`` consecutive
+    first finite cost) or its stop rule, tested as masked array operations;
+    otherwise each step rule ``step(K, stack, eta)`` moves all of its runs at
+    once, with the steps of their schedules, and a noisy run's gradient is
+    its gradient plus sigma times its noise row. Before a finite cost a NaN
+    cost is unobservable, not divergence. A failed evaluation ends the run
+    as ``direction.failure`` "diverged"; otherwise it counts, like a step
+    rule that returns None, toward ``MAX_CONSECUTIVE_FAILURES`` consecutive
     failures. Exact directions evaluate once more after the last step to
-    record the final gain. One run's end leaves the others running.
+    record the final gain. One run's end leaves the others running. Each
+    iteration fills its row of the (iteration, run) record columns; the
+    traces' records are built from them at the end.
     """
-    Ks = direction.start([run.K0 for run in runs])
-    active = list(range(len(Ks)))
-    for i in range(max(run.stop.max_iters for run in runs) + direction.records_final):
-        for r, pt in zip(active, direction.evaluate(Ks, active, i)):
-            run = runs[r]
-            if pt is None:
-                run.record(math.inf, None, 0.0, math.nan, status=direction.failure)
-                if direction.failure == "diverged":
-                    run.reason = "diverged"
-                    continue
+    m, c_star = len(runs), direction.c_star or math.nan
+    Ks = np.array(direction.start([run.K0 for run in runs]))
+    max_iters, rel_tol, grad_tol = np.array(
+        [(r.stop.max_iters, r.stop.rel_subopt_tol, r.stop.grad_tol) for r in runs],
+        dtype=float).T  # a None tolerance is NaN, which no value meets
+    fixed = np.array([r.schedule.eta if r.schedule.kind == "fixed" else math.nan
+                      for r in runs])
+    rules = list(dict.fromkeys(r.step for r in runs))
+    rule = np.array([rules.index(r.step) for r in runs])
+    # table[i]: row i of each distinct noise array (all of one length), once.
+    normals = {id(r.normals): r.normals for r in runs if r.normals is not None}
+    table = np.stack(list(normals.values()), axis=1) if normals else None
+    index = {key: k for k, key in enumerate(normals)}
+    row = np.array([index.get(id(r.normals), -1) for r in runs])
+    sigma = np.array([r.sigma for r in runs])[:, None, None]
+    ceiling, failures, reason = np.full(m, math.nan), np.zeros(m, int), np.zeros(m, int)
+    live, gathered = np.arange(m), None
+    n = int(max_iters.max()) + direction.records_final
+    # Record columns by (iteration, run): cost, rel_subopt, step, grad_norm
+    # and a status code; NaN where a run has ended.
+    log = np.full((5, n, m), math.nan)
+    for i in range(n):
+        ok, s = direction.evaluate(Ks.take(live, axis=0), i)
+        if not (all_ok := np.count_nonzero(ok) == len(ok)):
+            bad, live = live[~ok], live[ok]
+            log[:, i, bad] = [[math.inf], [math.nan], [0.0], [math.nan], [3]]
+            if direction.failure == "diverged":  # an unstable gain ends its run
+                reason[bad] = 4
+            else:  # a failed estimate counts toward too many failures
+                failures[bad] += 1
+                reason[bad[failures[bad] >= MAX_CONSECUTIVE_FAILURES]] = 5
+        if live is not gathered:  # the constants of the live runs, until one ends
+            gathered, cap, rtol, gtol, eta0 = (live, max_iters[live], rel_tol[live],
+                                               grad_tol[live], fixed[live])
+            groups = [(step, (rule[live] == g).nonzero()[0])
+                      for g, step in enumerate(rules)]
+            noisy = (row[live] >= 0).nonzero()[0]
+        # A huge but finite cost or gradient overflows its norm, its
+        # suboptimality or its ceiling to inf.
+        with np.errstate(over="ignore"):
+            cost, grad_norm = s.cost, _fro(s.grad)
+            rel = (cost - c_star) / c_star
+            ceil = ceiling[live]
+            unset = np.isnan(ceil)
+            if np.count_nonzero(unset):
+                first = unset & np.isfinite(cost)
+                ceil[first] = DIVERGENCE_CEILING_FACTOR * np.maximum(cost[first], 1.0)
+                ceiling[live] = ceil
+        diverged = np.isinf(cost) | ~(cost <= ceil) & ~unset
+        halted = diverged | (i >= cap) | (rel <= rtol) | (grad_norm <= gtol)
+        eta = eta0.copy()
+        if stopped := np.count_nonzero(halted):
+            reason[live] = halted * np.select([diverged, i >= cap, rel <= rtol],
+                                              [4, 1, 2], 3)
+            eta[halted] = 0.0
+        for p in np.isnan(eta).nonzero()[0]:  # the adaptive schedules
+            run = runs[live[p]]
+            eta[p] = run.schedule.step_size(float(cost[p]), direction.norms, run.flavor,
+                                            c_star=direction.step_c_star)
+        if stopped:  # the halted runs take no step
+            groups = [(step, sel[~halted[sel]]) for step, sel in groups]
+            noisy = noisy[~halted[noisy]]
+        if len(noisy):  # a noisy run steps on its gradient plus its noise
+            r = live[noisy]
+            grad = s.grad.copy()
+            grad[noisy] += sigma[r] * table[i].take(row[r], axis=0)
+            s = _Stack(*s[:5], grad)
+        failed = np.zeros(len(live), dtype=bool)
+        for step, sel in groups:
+            if not len(sel):
+                continue
+            r = live[sel]
+            pt = s if len(sel) == len(live) else _Stack(None, *(
+                None if f is None else f.take(sel, axis=0) for f in s[1:]))
+            K_next = step(Ks.take(r, axis=0), pt, eta[sel])
+            if K_next is None:
+                failed[sel] = True
             else:
-                # A huge but finite estimated gradient has an infinite norm.
-                with np.errstate(over="ignore"):
-                    grad_norm = float(np.linalg.norm(pt.grad, "fro"))
-                rel = _rel_subopt(pt.cost, direction.c_star)
-                if run.ceiling is None and math.isfinite(pt.cost):
-                    run.ceiling = DIVERGENCE_CEILING_FACTOR * max(pt.cost, 1.0)
-                if math.isinf(pt.cost) or (
-                    run.ceiling is not None
-                    and (math.isnan(pt.cost) or pt.cost > run.ceiling)
-                ):
-                    run.record(pt.cost, rel, 0.0, grad_norm, status="diverged")
-                    run.reason = "diverged"
-                    continue
-                reason = _stop_reason(run.stop, i, rel, grad_norm)
-                if reason is not None:
-                    run.record(pt.cost, rel, 0.0, grad_norm)
-                    run.reason = reason
-                    continue
-                eta = run.schedule.step_size(pt.cost, direction.norms, run.flavor,
-                                             c_star=direction.step_c_star)
-                K_next = run.step(Ks[r], pt, eta)
-                if K_next is not None:
-                    run.failures = 0
-                    run.record(pt.cost, rel, eta, grad_norm)
-                    Ks[r] = K_next
-                    continue
-                run.record(pt.cost, rel, 0.0, grad_norm, status="estimate_failed")
-            run.failures += 1
-            if run.failures >= MAX_CONSECUTIVE_FAILURES:
-                run.reason = "too_many_failures"
-        active = [r for r in active if runs[r].reason is None]
-        if not active:
+                Ks[r] = K_next
+        if np.count_nonzero(failed) or np.count_nonzero(failures):
+            failures[live] = (failures[live] + 1) * failed  # consecutive failures
+            reason[live[failures[live] >= MAX_CONSECUTIVE_FAILURES]] = 5
+            eta[failed] = 0.0
+        log[:, i, live] = cost, rel, eta, grad_norm, diverged + 2 * failed
+        if not all_ok or np.count_nonzero(reason[live]):
+            live = (reason == 0).nonzero()[0]
+        if not len(live):
             break
         yield None
-    yield [ConvergenceTrace(records=run.records, K_final=np.array(K),
-                             terminal_reason=run.reason or "max_iters")
-            for run, K in zip(runs, Ks)]
+    statuses = ("ok", "diverged", "estimate_failed", direction.failure)
+    traces = []
+    for r, length in enumerate(np.count_nonzero(log[4] >= 0, axis=0).tolist()):
+        records = [IterationRecord(i, c, None if k == 3 or not direction.c_star else x,
+                                   e, gn, statuses[int(k)])
+                   for i, (c, x, e, gn, k) in enumerate(zip(*log[:, :length, r].tolist()))]
+        traces.append(ConvergenceTrace(records, Ks[r].copy(),
+                                       _REASONS[reason[r]] or "max_iters"))
+    yield traces
 
 
 def _round_robin(loops: list) -> list[list[ConvergenceTrace]]:
@@ -375,8 +402,8 @@ def _exact_runs(plant, runs: list[_Run]) -> list[ConvergenceTrace]:
     return _round_robin([_optimize(_Exact(plant, runs), runs)])[0]
 
 
-def _gradient_step(K, pt, eta):
-    return K - eta * pt.grad
+def _gradient_step(K, s, eta):
+    return K - eta[:, None, None] * s.grad
 
 
 def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
@@ -389,10 +416,10 @@ def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
     if noise_sigma == 0:
         return _exact(plant, K0s, schedule, stop, _gradient_step, "pgd")
     shape = (plant.n_u, plant.n_x)
-    steps = [_noisy_step(noise_sigma, _noise_rows(seeds, run_id, stop.max_iters, shape))
-             for run_id in run_ids]
-    return _exact_runs(plant, [_Run(K0, schedule, stop, step, "pgd")
-                               for K0, step in zip(K0s, steps)])
+    return _exact_runs(plant, [
+        _Run(K0, schedule, stop, _gradient_step, "pgd", noise_sigma,
+             _noise_rows(seeds, run_id, stop.max_iters, shape))
+        for K0, run_id in zip(K0s, run_ids)])
 
 
 def _noise_rows(seeds: SeedSpec, run_id: int, length: int, shape) -> np.ndarray:
@@ -401,26 +428,22 @@ def _noise_rows(seeds: SeedSpec, run_id: int, length: int, shape) -> np.ndarray:
     return seeds.draw(run_id, range(length), Purpose.PERTURBATION, shape)
 
 
-def _noisy_step(noise_sigma, normals):
-    """Gradient step on the exact gradient plus noise_sigma * normals[i]."""
-    return lambda K, pt, eta: K - eta * (pt.grad + noise_sigma * normals[pt.i])
-
-
-def _natural_step(K, pt, eta):
-    direct = K - 2.0 * eta * pt.q.E
-    via_inverse = K - eta * pt.grad @ np.linalg.inv(pt.q.Sigma)
-    err = np.linalg.norm(direct - via_inverse, "fro")
-    if err > 1e-10 * max(1.0, np.linalg.norm(direct, "fro")):
+def _natural_step(K, s, eta):
+    eta = eta[:, None, None]
+    direct = K - 2.0 * eta * s.E
+    via_inverse = K - eta * s.grad @ np.linalg.inv(s.Sigma)
+    err = _fro(direct - via_inverse)
+    if np.any(err > 1e-10 * np.maximum(1.0, _fro(direct))):
         raise ConfigurationError(
-            f"natural-gradient identity violated (discrepancy {err:.3e})"
+            f"natural-gradient identity violated (discrepancy {err.max():.3e})"
         )
     return direct
 
 
 def _gauss_newton_step(plant):
     """The Gauss-Newton step rule K <- K - 2 eta (R + B'PB)^{-1} E_K."""
-    return lambda K, pt, eta: K - 2.0 * eta * np.linalg.solve(
-        plant.R + plant.B.T @ pt.q.P @ plant.B, pt.q.E)
+    return lambda K, s, eta: K - 2.0 * eta[:, None, None] * np.linalg.solve(
+        plant.R + plant.B.T @ s.P @ plant.B, s.E)
 
 
 def _gauss_newton_schedule(schedule: StepSchedule) -> StepSchedule:
@@ -556,12 +579,10 @@ def _mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, estimator,
     def estimate(K, cfg, rid):
         return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
 
-    def step(K, pt, eta):
-        if pt.cov is None or pt.cov.failed:
+    def step(K, s, eta):
+        if s.Sigma is None or smallest_eigenvalue(s.Sigma[0]) < cov_floor:
             return None
-        if smallest_eigenvalue(pt.cov.value) < cov_floor:
-            return None
-        return K - eta * pt.grad @ np.linalg.inv(pt.cov.value)
+        return K - eta[:, None, None] * s.grad @ np.linalg.inv(s.Sigma)
 
     direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
     return _optimize(direction, [_Run(K0, schedule, stop, step, "npg")])
