@@ -5,10 +5,10 @@ Configs are strict: unknown keys are rejected and every violation is
 reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
 byte-identical for a fixed seed regardless of the worker count. The variants
-of a grid share these substreams, so its model-free variants run in lockstep,
-a repetition per worker process (fork start method), and make each
-iteration's draws once; its exact-gradient variants run as one lockstep stack
-per plant instance.
+of a grid share these substreams: the model-free variants of a repetition
+are one lockstep stack, run in a worker process (fork start method), which
+makes each iteration's draws once; the exact-gradient variants on one plant
+instance are one lockstep stack too.
 """
 from __future__ import annotations
 
@@ -40,14 +40,14 @@ from .optimizers import (
     StopRule,
     OPTIMIZERS,
     SCHEDULE_PARAMS,
+    _Estimated,
+    _Exact,
     _Run,
     _exact_rule,
-    _exact_runs,
     _gauss_newton_schedule,
-    _mf_npg,
-    _mf_pgd,
+    _mf_run,
     _noise_rows,
-    _round_robin,
+    _optimize,
 )
 from . import plants as _plants
 from .plants import PlantModel, smallest_eigenvalue
@@ -430,8 +430,8 @@ def _run_exact(cfgs: list[ExperimentConfig]) -> list[tuple[list, float]]:
         stacks.setdefault(id(cfg.plant), (cfg.plant, []))[1].extend((j, r) for r in runs)
     traces, starts = [[] for _ in cfgs], {}
     for plant, members in stacks.values():
-        start = time.monotonic()
-        for (j, _), trace in zip(members, _exact_runs(plant, [r for _, r in members])):
+        start, runs = time.monotonic(), [r for _, r in members]
+        for (j, _), trace in zip(members, _optimize(_Exact(plant, runs), runs)):
             traces[j].append(trace)
             starts[j] = start
     return [(t * (cfg.repetitions // len(t)), starts[j])
@@ -440,20 +440,19 @@ def _run_exact(cfgs: list[ExperimentConfig]) -> list[tuple[list, float]]:
 
 def _run_stack(cfgs: list[ExperimentConfig], rep: int) -> list[ConvergenceTrace]:
     """Repetition ``rep`` of model-free variants ``cfgs`` as one lockstep
-    stack, one trace each; substreams are keyed by ``rep``. Every live variant
-    makes iteration i before any makes i + 1, so at each iteration a stack of
-    two or more draws each master seed's shared random numbers once."""
+    stack, one trace each; substreams are keyed by ``rep``. Each iteration
+    estimates every live variant in turn, so at each iteration a stack of two
+    or more draws each master seed's shared random numbers once."""
     memos = {c.master_seed: _DrawMemo(SeedSpec(c.master_seed)) for c in cfgs}
-    loops = []
+    members = []
     for cfg in cfgs:
         seeds = memos[cfg.master_seed] if len(cfgs) > 1 else SeedSpec(cfg.master_seed)
         oracle = RolloutOracle(cfg.plant, seeds, L0=cfg.rollout.L0)
-        args = (oracle, cfg.K0, cfg.schedule, cfg.stop, cfg.rollout,
-                PlantNorms.from_plant(cfg.plant), solve_dare(cfg.plant).C_star)
-        offset = rep * (cfg.stop.max_iters + 1)
-        loops.append(_mf_pgd(*args, cfg.use_vr, cfg.n_v, None, offset)
-                     if cfg.optimizer == "mf_pgd" else _mf_npg(*args, None, offset))
-    return [traces[0] for traces in _round_robin(loops)]
+        members.append(_mf_run(cfg.optimizer, oracle, cfg.K0, cfg.schedule, cfg.stop,
+                               cfg.rollout, PlantNorms.from_plant(cfg.plant),
+                               solve_dare(cfg.plant).C_star, cfg.use_vr, cfg.n_v, None,
+                               rep * (cfg.stop.max_iters + 1)))
+    return _optimize(_Estimated(members), [m[0] for m in members])
 
 
 def _csv_rows(trace: ConvergenceTrace) -> list[str]:

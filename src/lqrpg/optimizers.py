@@ -9,11 +9,11 @@ direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
 zeroth-order estimators (model-free gradient descent and natural gradient).
 Each public ``run_*`` function supplies a direction and a step map, so every
 run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
-The loop holds a stack of runs as arrays and advances it in lockstep,
-yielding after each iteration; each run has its own rules, and each step
-rule moves all of its runs at once. :func:`_round_robin` drives several
-loops one iteration each in turn. The public functions run a stack of one,
-the harness every exact-gradient run of a grid on one plant as one stack.
+The loop holds a stack of runs as arrays and advances it in lockstep; each
+run has its own rules, and each step rule moves all of its runs at once.
+The public functions run a stack of one; the harness runs every
+exact-gradient run of a grid on one plant as one stack, and every
+model-free variant of a repetition as another.
 """
 from __future__ import annotations
 
@@ -186,14 +186,15 @@ class _Exact:
 
     def __init__(self, plant: PlantModel, runs: list[_Run]):
         self.plant = plant
-        self.c_star = self.step_c_star = solve_dare(plant).C_star
+        self.step_c_star = solve_dare(plant).C_star
         adaptive = any(run.schedule.kind != "fixed" for run in runs)
-        self.norms = PlantNorms.from_plant(plant) if adaptive else None
+        self.c_star = [self.step_c_star] * len(runs)
+        self.norms = [PlantNorms.from_plant(plant) if adaptive else None] * len(runs)
 
     def start(self, K0s) -> list[np.ndarray]:
         return [self.plant.check_gain(K0) for K0 in K0s]
 
-    def evaluate(self, Ks: np.ndarray, i: int):
+    def evaluate(self, live: np.ndarray, Ks: np.ndarray, i: int):
         s = _exact_stack(self.plant, Ks)
         stable = s.rho < 1.0
         if i == 0 and not stable.all():
@@ -203,41 +204,36 @@ class _Exact:
 
 
 class _Estimated:
-    """Direction from zeroth-order estimates through a rollout oracle, for a
-    stack of one run.
+    """Direction from zeroth-order estimates through rollout oracles, for a
+    stack of model-free runs: the members of :func:`_mf_run`, each with its
+    run, estimate function, plant norms and optimal cost.
 
-    The recorded cost is the mean of the iteration's rollout costs, the only
-    cost observable without the model. Every estimate uses ``rollout_cfg``,
-    with run id ``run_offset + i`` at iteration i, unless the testing hook
-    ``estimator(K, i)`` replaces it. The estimated covariance, unless it
-    failed, stands in for Sigma_K.
+    Each iteration calls ``estimate(K, i)`` of every live member, in member
+    order. The recorded cost is the mean of the estimate's rollout costs, the
+    only cost observable without the model. An estimated covariance, unless
+    it failed, stands in for Sigma_K; a member without one gets a NaN Sigma.
     """
 
     failure = "estimate_failed"
     records_final = False
     step_c_star = 0.0
 
-    def __init__(self, estimate, rollout_cfg, norms, c_star, estimator, run_offset):
-        if rollout_cfg is None and estimator is None:
-            raise ConfigurationError("model-free runs need a RolloutConfig")
-        self.estimate, self.rollout_cfg, self.norms = estimate, rollout_cfg, norms
-        self.c_star, self.estimator, self.run_offset = c_star, estimator, run_offset
+    def __init__(self, members: list[tuple]):
+        _, self.estimates, self.norms, self.c_star = zip(*members)
 
     def start(self, K0s) -> list[np.ndarray]:
         return [np.asarray(K0, dtype=float) for K0 in K0s]
 
-    def evaluate(self, Ks: np.ndarray, i: int):
-        (K,) = Ks
-        if self.estimator is not None:
-            g, cov = self.estimator(K, i)
-        else:
-            g, cov = self.estimate(K, self.rollout_cfg, self.run_offset + i)
-        ok = np.array([not g.failed])
-        cost = math.nan
-        if ok[0] and g.rollout_costs is not None and len(g.rollout_costs):
-            cost = float(np.mean(g.rollout_costs))
-        Sigma = None if cov is None or cov.failed else cov.value[None][ok]
-        return ok, _Stack(None, None, Sigma, None, np.array([cost])[ok], g.value[None][ok])
+    def evaluate(self, live: np.ndarray, Ks: np.ndarray, i: int):
+        gs, covs = zip(*(self.estimates[r](K, i) for r, K in zip(live.tolist(), Ks)))
+        ok = np.array([not g.failed for g in gs])
+        cost = np.array([float(np.mean(g.rollout_costs)) if keep and
+                         g.rollout_costs is not None and len(g.rollout_costs)
+                         else math.nan for g, keep in zip(gs, ok)])
+        unknown = np.full((Ks.shape[-1],) * 2, math.nan)
+        Sigma = np.array([unknown if c is None or c.failed else c.value for c in covs])
+        grad = np.array([g.value for g in gs])
+        return ok, _Stack(None, None, Sigma[ok], None, cost[ok], grad[ok])
 
 
 class _Run(NamedTuple):
@@ -259,28 +255,31 @@ _REASONS = (None, "max_iters", "converged", "stationary", "diverged",
 
 
 def _optimize(direction, runs: list[_Run]):
-    """The one optimization loop, over a stack of runs in lockstep: a
-    generator that yields None after each iteration, then the traces.
+    """The one optimization loop, over a stack of runs in lockstep; the
+    traces of the runs, in order.
 
     The stack's state is arrays: its gains ``Ks`` (m, n_u, n_x), the index
     array of its live runs, and per run a divergence ceiling, a failure count
     and a terminal reason (``_REASONS``). Each iteration evaluates the live
-    gains in one ``direction.evaluate`` call, which returns an ok mask and
-    the ``_Stack`` of the ok runs. A run stops on divergence (an infinite
-    cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR`` times its
-    first finite cost) or its stop rule, tested as masked array operations;
-    otherwise each step rule ``step(K, stack, eta)`` moves all of its runs at
-    once, with the steps of their schedules, and a noisy run's gradient is
-    its gradient plus sigma times its noise row. Before a finite cost a NaN
-    cost is unobservable, not divergence. A failed evaluation ends the run
-    as ``direction.failure`` "diverged"; otherwise it counts, like a step
-    rule that returns None, toward ``MAX_CONSECUTIVE_FAILURES`` consecutive
-    failures. Exact directions evaluate once more after the last step to
-    record the final gain. One run's end leaves the others running. Each
-    iteration fills its row of the (iteration, run) record columns; the
-    traces' records are built from them at the end.
+    gains in one ``direction.evaluate(live, Ks, i)`` call, which returns an
+    ok mask and the ``_Stack`` of the ok runs. The direction gives each run
+    its plant norms and optimal cost; a run whose optimum is unknown (None)
+    or 0 records no relative suboptimality. A run stops on divergence (an
+    infinite cost, or a NaN cost or one past ``DIVERGENCE_CEILING_FACTOR``
+    times its first finite cost) or its stop rule, tested as masked array
+    operations; otherwise each step rule ``step(K, stack, eta)`` moves all of
+    its runs at once, with the steps of their schedules, and a noisy run's
+    gradient is its gradient plus sigma times its noise row. Before a finite
+    cost a NaN cost is unobservable, not divergence. A failed evaluation ends
+    the run as ``direction.failure`` "diverged"; otherwise it counts, like a
+    step rule that returns None, toward ``MAX_CONSECUTIVE_FAILURES``
+    consecutive failures. A run ends after ``max_iters`` steps; exact
+    directions evaluate once more after the last step to record the final
+    gain. One run's end leaves the others running. Each iteration fills its
+    row of the (iteration, run) record columns; the traces' records are
+    built from them at the end.
     """
-    m, c_star = len(runs), direction.c_star or math.nan
+    m, c_star = len(runs), np.array([c or math.nan for c in direction.c_star])
     Ks = np.array(direction.start([run.K0 for run in runs]))
     max_iters, rel_tol, grad_tol = np.array(
         [(r.stop.max_iters, r.stop.rel_subopt_tol, r.stop.grad_tol) for r in runs],
@@ -297,12 +296,13 @@ def _optimize(direction, runs: list[_Run]):
     sigma = np.array([r.sigma for r in runs])[:, None, None]
     ceiling, failures, reason = np.full(m, math.nan), np.zeros(m, int), np.zeros(m, int)
     live, gathered = np.arange(m), None
-    n = int(max_iters.max()) + direction.records_final
+    ends = max_iters + direction.records_final  # the most iterations of each run
+    n = int(ends.max())
     # Record columns by (iteration, run): cost, rel_subopt, step, grad_norm
     # and a status code; NaN where a run has ended.
     log = np.full((5, n, m), math.nan)
     for i in range(n):
-        ok, s = direction.evaluate(Ks.take(live, axis=0), i)
+        ok, s = direction.evaluate(live, Ks.take(live, axis=0), i)
         if not (all_ok := np.count_nonzero(ok) == len(ok)):
             bad, live = live[~ok], live[ok]
             log[:, i, bad] = [[math.inf], [math.nan], [0.0], [math.nan], [3]]
@@ -312,8 +312,9 @@ def _optimize(direction, runs: list[_Run]):
                 failures[bad] += 1
                 reason[bad[failures[bad] >= MAX_CONSECUTIVE_FAILURES]] = 5
         if live is not gathered:  # the constants of the live runs, until one ends
-            gathered, cap, rtol, gtol, eta0 = (live, max_iters[live], rel_tol[live],
-                                               grad_tol[live], fixed[live])
+            gathered, cap, end, rtol, gtol, eta0, opt = (
+                live, max_iters[live], ends[live], rel_tol[live], grad_tol[live],
+                fixed[live], c_star[live])
             groups = [(step, (rule[live] == g).nonzero()[0])
                       for g, step in enumerate(rules)]
             noisy = (row[live] >= 0).nonzero()[0]
@@ -321,7 +322,7 @@ def _optimize(direction, runs: list[_Run]):
         # suboptimality or its ceiling to inf.
         with np.errstate(over="ignore"):
             cost, grad_norm = s.cost, _fro(s.grad)
-            rel = (cost - c_star) / c_star
+            rel = (cost - opt) / opt
             ceil = ceiling[live]
             unset = np.isnan(ceil)
             if np.count_nonzero(unset):
@@ -337,8 +338,8 @@ def _optimize(direction, runs: list[_Run]):
             eta[halted] = 0.0
         for p in np.isnan(eta).nonzero()[0]:  # the adaptive schedules
             run = runs[live[p]]
-            eta[p] = run.schedule.step_size(float(cost[p]), direction.norms, run.flavor,
-                                            c_star=direction.step_c_star)
+            eta[p] = run.schedule.step_size(float(cost[p]), direction.norms[live[p]],
+                                            run.flavor, c_star=direction.step_c_star)
         if stopped:  # the halted runs take no step
             groups = [(step, sel[~halted[sel]]) for step, sel in groups]
             noisy = noisy[~halted[noisy]]
@@ -364,42 +365,25 @@ def _optimize(direction, runs: list[_Run]):
             reason[live[failures[live] >= MAX_CONSECUTIVE_FAILURES]] = 5
             eta[failed] = 0.0
         log[:, i, live] = cost, rel, eta, grad_norm, diverged + 2 * failed
-        if not all_ok or np.count_nonzero(reason[live]):
-            live = (reason == 0).nonzero()[0]
+        if not all_ok or np.count_nonzero(reason[live]) or np.count_nonzero(end <= i + 1):
+            live = ((reason == 0) & (ends > i + 1)).nonzero()[0]
         if not len(live):
             break
-        yield None
     statuses = ("ok", "diverged", "estimate_failed", direction.failure)
     traces = []
     for r, length in enumerate(np.count_nonzero(log[4] >= 0, axis=0).tolist()):
-        records = [IterationRecord(i, c, None if k == 3 or not direction.c_star else x,
+        records = [IterationRecord(i, c, None if k == 3 or math.isnan(c_star[r]) else x,
                                    e, gn, statuses[int(k)])
                    for i, (c, x, e, gn, k) in enumerate(zip(*log[:, :length, r].tolist()))]
         traces.append(ConvergenceTrace(records, Ks[r].copy(),
                                        _REASONS[reason[r]] or "max_iters"))
-    yield traces
-
-
-def _round_robin(loops: list) -> list[list[ConvergenceTrace]]:
-    """Drive :func:`_optimize` loops one iteration each in turn, so that
-    every live loop makes iteration i before any makes i + 1; the traces of
-    each loop, in order."""
-    traces = [None] * len(loops)
-    while None in traces:
-        for j, loop in enumerate(loops):
-            if traces[j] is None:
-                traces[j] = next(loop)
     return traces
 
 
 def _exact(plant, K0s, schedule, stop, step, flavor) -> list[ConvergenceTrace]:
     """Traces of exact-gradient runs from ``K0s``, each moved by ``step``."""
-    return _exact_runs(plant, [_Run(K0, schedule, stop, step, flavor) for K0 in K0s])
-
-
-def _exact_runs(plant, runs: list[_Run]) -> list[ConvergenceTrace]:
-    """Traces of the exact-gradient ``runs`` on ``plant``, as one stack."""
-    return _round_robin([_optimize(_Exact(plant, runs), runs)])[0]
+    runs = [_Run(K0, schedule, stop, step, flavor) for K0 in K0s]
+    return _optimize(_Exact(plant, runs), runs)
 
 
 def _gradient_step(K, s, eta):
@@ -416,10 +400,10 @@ def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
     if noise_sigma == 0:
         return _exact(plant, K0s, schedule, stop, _gradient_step, "pgd")
     shape = (plant.n_u, plant.n_x)
-    return _exact_runs(plant, [
-        _Run(K0, schedule, stop, _gradient_step, "pgd", noise_sigma,
-             _noise_rows(seeds, run_id, stop.max_iters, shape))
-        for K0, run_id in zip(K0s, run_ids)])
+    runs = [_Run(K0, schedule, stop, _gradient_step, "pgd", noise_sigma,
+                 _noise_rows(seeds, run_id, stop.max_iters, shape))
+            for K0, run_id in zip(K0s, run_ids)]
+    return _optimize(_Exact(plant, runs), runs)
 
 
 def _noise_rows(seeds: SeedSpec, run_id: int, length: int, shape) -> np.ndarray:
@@ -530,21 +514,9 @@ def run_mf_pgd(
     needed only by the adaptive step schedules. ``estimator`` overrides the
     estimator entirely (testing hook) and then ``rollout_cfg`` may be None.
     """
-    return _round_robin([_mf_pgd(oracle, K0, schedule, stop, rollout_cfg, norms,
-                                 c_star, use_vr, n_v, estimator, run_offset)])[0][0]
-
-
-def _mf_pgd(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, use_vr, n_v,
-            estimator, run_offset):
-    """The :func:`_optimize` loop of :func:`run_mf_pgd`."""
-
-    def estimate(K, cfg, rid):
-        if use_vr:
-            return estimate_gradient_vr(oracle, K, cfg, n_v, run_id=rid, keep_terms=True), None
-        return estimate_gradient(oracle, K, cfg, run_id=rid, keep_terms=True), None
-
-    direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [_Run(K0, schedule, stop, _gradient_step, "pgd")])
+    member = _mf_run("mf_pgd", oracle, K0, schedule, stop, rollout_cfg, norms, c_star,
+                     use_vr, n_v, estimator, run_offset)
+    return _optimize(_Estimated([member]), [member[0]])[0]
 
 
 def run_mf_npg(
@@ -567,22 +539,40 @@ def run_mf_npg(
     supplied, else 1e-8; otherwise the iteration is an estimate failure.
     ``estimator`` is the testing hook of :func:`run_mf_pgd`.
     """
-    return _round_robin([_mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms,
-                                 c_star, estimator, run_offset)])[0][0]
+    member = _mf_run("mf_npg", oracle, K0, schedule, stop, rollout_cfg, norms, c_star,
+                     estimator=estimator, run_offset=run_offset)
+    return _optimize(_Estimated([member]), [member[0]])[0]
 
 
-def _mf_npg(oracle, K0, schedule, stop, rollout_cfg, norms, c_star, estimator,
-            run_offset):
-    """The :func:`_optimize` loop of :func:`run_mf_npg`."""
-    cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
+def _mf_run(optimizer, oracle, K0, schedule, stop, rollout_cfg, norms, c_star,
+            use_vr=False, n_v=1, estimator=None, run_offset=0) -> tuple:
+    """A member of a model-free stack: the run of ``optimizer`` ("mf_pgd" or
+    "mf_npg") from ``K0``, its estimate function ``estimate(K, i)``, its plant
+    norms and its optimal cost. Iteration i estimates with ``rollout_cfg`` at
+    run id ``run_offset + i``, unless the testing hook ``estimator(K, i)``
+    replaces it. Each mf_npg member steps by its own rule, so a covariance
+    below the floor fails only that member."""
+    if rollout_cfg is None and estimator is None:
+        raise ConfigurationError("model-free runs need a RolloutConfig")
 
-    def estimate(K, cfg, rid):
-        return estimate_gradient_covariance(oracle, K, cfg, run_id=rid, keep_terms=True)
+    def estimate(K, i):
+        rid = run_offset + i
+        if optimizer == "mf_npg":
+            return estimate_gradient_covariance(oracle, K, rollout_cfg, run_id=rid,
+                                                keep_terms=True)
+        if use_vr:
+            return estimate_gradient_vr(oracle, K, rollout_cfg, n_v, run_id=rid,
+                                        keep_terms=True), None
+        return estimate_gradient(oracle, K, rollout_cfg, run_id=rid, keep_terms=True), None
 
-    def step(K, s, eta):
-        if s.Sigma is None or smallest_eigenvalue(s.Sigma[0]) < cov_floor:
-            return None
-        return K - eta[:, None, None] * s.grad @ np.linalg.inv(s.Sigma)
+    run = _Run(K0, schedule, stop, _gradient_step, "pgd")
+    if optimizer == "mf_npg":
+        cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
 
-    direction = _Estimated(estimate, rollout_cfg, norms, c_star, estimator, run_offset)
-    return _optimize(direction, [_Run(K0, schedule, stop, step, "npg")])
+        def step(K, s, eta):
+            if np.isnan(s.Sigma).any() or smallest_eigenvalue(s.Sigma[0]) < cov_floor:
+                return None
+            return K - eta[:, None, None] * s.grad @ np.linalg.inv(s.Sigma)
+
+        run = _Run(K0, schedule, stop, step, "npg")
+    return run, estimator or estimate, norms, c_star

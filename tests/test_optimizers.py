@@ -30,8 +30,9 @@ from lqrpg import (
     scalar_s1,
     solve_dare,
 )
-from lqrpg.optimizers import (_exact, _gauss_newton_schedule, _gauss_newton_step,
-                               _natural_step, _pgd)
+from lqrpg.optimizers import (_Estimated, _exact, _gauss_newton_schedule,
+                               _gauss_newton_step, _mf_run, _natural_step, _optimize,
+                               _pgd)
 from lqrpg.plants import PlantModel
 from conftest import assert_same_trace, random_plant, random_stabilizing_gain
 
@@ -420,10 +421,20 @@ class TestLockstep:
     SCHED = StepSchedule(kind="fixed", eta=0.1)
 
     @pytest.mark.parametrize("name", ["mb_pgd", "mb_npg", "mb_gauss_newton",
-                                      "noisy_pgd"])
+                                      "noisy_pgd", "mf_pgd", "mf_pgd_vr", "mf_npg"])
     def test_stack_equals_single_runs_bitwise(self, name):
         K0s, stop, sched = self.K0S, self.STOP, self.SCHED
         gauss_newton = _gauss_newton_schedule(StepSchedule(kind="fixed", eta=0.3))
+        oracle = RolloutOracle(S1, SeedSpec(3))
+        # Run r estimates at run ids 40 r + i, as its own single run does.
+        mf = dict(rollout_cfg=RolloutConfig(n=20, l=20, r=0.1, L0=3.0), norms=NORMS,
+                  c_star=OPT.C_star)
+
+        def mf_stack(optimizer, **kw):
+            members = [_mf_run(optimizer, oracle, K0, sched, stop, **mf, **kw,
+                               run_offset=40 * r) for r, K0 in enumerate(K0s)]
+            return _optimize(_Estimated(members), [m[0] for m in members])
+
         runs = {
             "mb_pgd": (lambda: _pgd(S1, K0s, sched, stop),
                        lambda r: run_mb_pgd(S1, K0s[r], sched, stop)),
@@ -438,6 +449,15 @@ class TestLockstep:
                              range(10, 10 + len(K0s))),
                 lambda r: run_noisy_gradient_pgd(S1, K0s[r], 0.1, 1.0, stop,
                                                  SeedSpec(3), run_id=10 + r)),
+            "mf_pgd": (lambda: mf_stack("mf_pgd"),
+                       lambda r: run_mf_pgd(oracle, K0s[r], sched, stop, **mf,
+                                            run_offset=40 * r)),
+            "mf_pgd_vr": (lambda: mf_stack("mf_pgd", use_vr=True, n_v=2),
+                          lambda r: run_mf_pgd(oracle, K0s[r], sched, stop, **mf,
+                                               use_vr=True, n_v=2, run_offset=40 * r)),
+            "mf_npg": (lambda: mf_stack("mf_npg"),
+                       lambda r: run_mf_npg(oracle, K0s[r], sched, stop, **mf,
+                                            run_offset=40 * r)),
         }
         stacked, single = runs[name]
         traces = stacked()

@@ -105,7 +105,7 @@ def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_call(
         error.pid = os.getpid()
         raise error
 
-    monkeypatch.setattr(harness, "_mf_pgd", overflow)
+    monkeypatch.setattr(harness, "_mf_run", overflow)
     cfg = dataclasses.replace(cfg, repetitions=16)
     with pytest.raises(OverflowedRollout, match="boom") as info:
         run_monte_carlo(cfg, out_dir=str(tmp_path / "failed"), threads=2)
