@@ -2,9 +2,11 @@
 
 The estimators talk to the plant only through a
 :class:`~lqrpg.sim.RolloutOracle`: perturb the gain on the Frobenius sphere,
-roll out, average. Overflowed rollouts mark the whole estimate failed rather
-than being dropped, since dropping them would bias the estimator exactly in
-the high-noise regime of interest.
+roll out, average. One core, :func:`_estimate`, estimates a group of oracles'
+gains on the same draws; each public estimator is a group of one. Overflowed
+rollouts mark a member's whole estimate failed rather than being dropped,
+since dropping them would bias the estimator exactly in the high-noise regime
+of interest.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .sim import Purpose, RolloutConfig, RolloutOracle
+from .sim import Purpose, RolloutConfig, RolloutOracle, _costs, _roll
 
 __all__ = [
     "GradientEstimate",
@@ -60,20 +62,20 @@ class BaselineEstimate:
     failed: bool = False
 
 
-def _baselines(oracle, K, x0s, n_v, l, run_id, rollout_base):
-    """Mean cost of n_v rollouts of K from each row k of x0s, on baseline ids
-    rollout_base + [k n_v, (k+1) n_v): (baselines, None), or (None, the first
-    row with an overflowed rollout)."""
+def _baselines(members, n_v, l, run_id, rollout_base) -> list:
+    """Mean cost of n_v rollouts of gain K from each row k of x0s, on baseline
+    ids rollout_base + [k n_v, (k+1) n_v), for each member (oracle, K, x0s) of
+    a :func:`~lqrpg.sim._costs` group: per member (baselines, None), or
+    (None, the first row with an overflowed rollout)."""
     if n_v < 1:
         raise ConfigurationError(f"n_v must be >= 1, got {n_v}")
-    m = len(x0s)
-    Ks = np.broadcast_to(K, (m * n_v, *K.shape))
+    m = len(members[0][2])
+    batches = [(oracle, np.broadcast_to(K, (m * n_v, *K.shape)),
+                np.repeat(x0s, n_v, axis=0)) for oracle, K, x0s in members]
     ids = range(rollout_base, rollout_base + m * n_v)
-    costs, bad = oracle.rollout_costs(Ks, np.repeat(x0s, n_v, axis=0), l, run_id,
-                                      ids, Purpose.BASELINE)
-    if bad is not None:
-        return None, bad // n_v
-    return costs.reshape(m, n_v).mean(axis=1), None
+    return [(None, bad // n_v) if bad is not None else
+            (costs.reshape(m, n_v).mean(axis=1), None)
+            for costs, bad in _costs(batches, l, run_id, ids, Purpose.BASELINE)]
 
 
 def _failed(oracle, bad, meta):
@@ -99,24 +101,55 @@ def _gradient(U, costs, baselines, cfg, keep_terms, meta) -> GradientEstimate:
     )
 
 
-def _plain(oracle, K, cfg, run_id):
-    """The plain estimator's perturbations U, its n gains K + U_k, their
-    initial states, and the estimate's meta."""
-    U = oracle.draw_perturbations(cfg.r, run_id, range(cfg.n))
-    x0s = oracle.draw_initial_states(run_id, range(cfg.n))
+def _estimate(members, cfg: RolloutConfig, run_id: int, n_v: int | None = None,
+              cov: bool = False, keep_terms: bool = False) -> list:
+    """One-point sphere estimates at ``run_id`` for a group of members
+    (oracle, K) whose oracles share their master seed and (n_u, n_x): one
+    (gradient, covariance or None) pair per member. The group draws its
+    perturbations U_k and raw initial-state normals once; each member bounds
+    its own initial states. With ``n_v``, a member subtracts from rollout k's
+    cost the baseline of its initial state (:func:`_baselines`, ids from 0).
+    The K + U_k batches go through one :func:`~lqrpg.sim._costs` call, or,
+    with ``cov``, one :func:`~lqrpg.sim._roll` for the state covariance. A
+    member fails alone, at its first overflowed rollout."""
+    oracle, ids = members[0][0], range(cfg.n)
+    U = oracle.draw_perturbations(cfg.r, run_id, ids)
+    Z = oracle.seeds.draw(run_id, ids, Purpose.INITIAL_STATE, (oracle.n_x,))
+    group = [(o, np.asarray(K, dtype=float), o._bounded(Z, run_id, ids))
+             for o, K in members]
     meta = dict(n_used=cfg.n, l_used=cfg.l, r_used=cfg.r, run_id=run_id)
-    return U, np.asarray(K, dtype=float) + U, x0s, meta
+    found = ([(0.0, None)] * len(group) if n_v is None
+             else _baselines(group, n_v, cfg.l, run_id, 0))
+    out = [None if bad is None else _failed(o, bad, meta)
+           for (o, _, _), (_, bad) in zip(group, found)]
+    live = [j for j, e in enumerate(out) if e is None]
+    batch = [(group[j][0], group[j][1] + U, group[j][2]) for j in live]
+    if cov:
+        for j, (o, Ks, _), (states, overflow) in zip(
+                live, batch, _roll(batch, cfg.l, run_id, ids, Purpose.NOISE)):
+            if np.any(overflow >= 0):
+                out[j] = _failed(o, int(np.argmax(overflow >= 0)), meta)
+                continue
+            S = np.ascontiguousarray(states.transpose(1, 0, 2))  # id-major, einsum's order
+            # Finite states can still give costs that overflow to inf.
+            with np.errstate(over="ignore", invalid="ignore"):
+                costs = o.stage_cost(states, Ks)
+                C = np.einsum("kti,ktj->ij", S, S) / (cfg.n * cfg.l)
+            out[j] = (_gradient(U, costs, 0.0, cfg, keep_terms, meta),
+                      CovarianceEstimate(value=0.5 * (C + C.T), **meta))
+    elif live:
+        for j, (o, _, _), (costs, bad) in zip(
+                live, batch, _costs(batch, cfg.l, run_id, ids, Purpose.NOISE)):
+            out[j] = _failed(o, bad, meta) if bad is not None else (
+                _gradient(U, costs, found[j][0], cfg, keep_terms, meta), None)
+    return out
 
 
 def estimate_gradient(oracle: RolloutOracle, K: np.ndarray, cfg: RolloutConfig,
                       run_id: int = 0, keep_terms: bool = False) -> GradientEstimate:
     """The gradient estimate of :func:`estimate_gradient_covariance`, bit for
     bit, without keeping the states for a covariance."""
-    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
-    costs, bad = oracle.rollout_costs(Ks, x0s, cfg.l, run_id, range(cfg.n))
-    if bad is not None:
-        return _failed(oracle, bad, meta)[0]
-    return _gradient(U, costs, 0.0, cfg, keep_terms, meta)
+    return _estimate([(oracle, K)], cfg, run_id, keep_terms=keep_terms)[0][0]
 
 
 def estimate_gradient_covariance(
@@ -134,19 +167,7 @@ def estimate_gradient_covariance(
     empirical state covariance for Sigma. Only K + U_k is rolled out; there
     is no K - U_k rollout.
     """
-    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
-    # The covariance needs every state, so this batch is rolled out whole.
-    states, overflow = oracle.rollout_batch(Ks, x0s, cfg.l, run_id, range(cfg.n))
-    if np.any(overflow >= 0):
-        return _failed(oracle, int(np.argmax(overflow >= 0)), meta)
-    S = np.ascontiguousarray(states.transpose(1, 0, 2))  # id-major, einsum's order
-    # Finite states can still give costs that overflow to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        costs = oracle.stage_cost(states, Ks)
-        cov = np.einsum("kti,ktj->ij", S, S) / (cfg.n * cfg.l)
-        cov = 0.5 * (cov + cov.T)
-    return (_gradient(U, costs, 0.0, cfg, keep_terms, meta),
-            CovarianceEstimate(value=cov, **meta))
+    return _estimate([(oracle, K)], cfg, run_id, cov=True, keep_terms=keep_terms)[0]
 
 
 def estimate_baseline(
@@ -166,7 +187,8 @@ def estimate_baseline(
     """
     K = np.asarray(K, dtype=float)
     x0 = np.asarray(x0, dtype=float).reshape(oracle.n_x)
-    baselines, bad = _baselines(oracle, K, x0[None], n_v, l, run_id, rollout_base)
+    baselines, bad = _baselines([(oracle, K, x0[None])], n_v, l, run_id,
+                                rollout_base)[0]
     if bad is not None:
         return BaselineEstimate(value=np.nan, n_v_used=n_v, x0=x0, failed=True)
     return BaselineEstimate(value=float(baselines[0]), n_v_used=n_v, x0=x0)
@@ -188,14 +210,7 @@ def estimate_gradient_vr(
     ``rollout_base = k * n_v``, from n_v unperturbed rollouts started at the
     same initial state.
     """
-    U, Ks, x0s, meta = _plain(oracle, K, cfg, run_id)
-    baselines, bad = _baselines(oracle, np.asarray(K, dtype=float), x0s, n_v, cfg.l,
-                                run_id, 0)
-    if bad is None:
-        costs, bad = oracle.rollout_costs(Ks, x0s, cfg.l, run_id, range(cfg.n))
-    if bad is not None:
-        return _failed(oracle, bad, meta)[0]
-    return _gradient(U, costs, baselines, cfg, keep_terms, meta)
+    return _estimate([(oracle, K)], cfg, run_id, n_v, keep_terms=keep_terms)[0][0]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
 byte-identical for a fixed seed regardless of the worker count. The variants
 of a grid share these substreams: the model-free variants of a repetition
-are one lockstep stack, run in a worker process (fork start method), which
-makes each iteration's draws once; the exact-gradient variants on one plant
-instance are one lockstep stack too.
+are one lockstep stack, run in a worker process (fork start method), that
+estimates the variants with coinciding draws as one group; the exact-gradient
+variants on one plant instance are one lockstep stack too.
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ from .optimizers import (
 )
 from . import plants as _plants
 from .plants import PlantModel, smallest_eigenvalue
-from .sim import (RolloutConfig, RolloutOracle, SeedSpec, _DrawMemo,
-                  default_initial_state_bound)
+from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -441,13 +440,11 @@ def _run_exact(cfgs: list[ExperimentConfig]) -> list[tuple[list, float]]:
 def _run_stack(cfgs: list[ExperimentConfig], rep: int) -> list[ConvergenceTrace]:
     """Repetition ``rep`` of model-free variants ``cfgs`` as one lockstep
     stack, one trace each; substreams are keyed by ``rep``. Each iteration
-    estimates every live variant in turn, so at each iteration a stack of two
-    or more draws each master seed's shared random numbers once."""
-    memos = {c.master_seed: _DrawMemo(SeedSpec(c.master_seed)) for c in cfgs}
+    estimates the live variants whose draws coincide as one group, so each
+    draw is made once (:class:`~lqrpg.optimizers._Estimated`)."""
     members = []
     for cfg in cfgs:
-        seeds = memos[cfg.master_seed] if len(cfgs) > 1 else SeedSpec(cfg.master_seed)
-        oracle = RolloutOracle(cfg.plant, seeds, L0=cfg.rollout.L0)
+        oracle = RolloutOracle(cfg.plant, SeedSpec(cfg.master_seed), L0=cfg.rollout.L0)
         members.append(_mf_run(cfg.optimizer, oracle, cfg.K0, cfg.schedule, cfg.stop,
                                cfg.rollout, PlantNorms.from_plant(cfg.plant),
                                solve_dare(cfg.plant).C_star, cfg.use_vr, cfg.n_v, None,

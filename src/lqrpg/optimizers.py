@@ -3,17 +3,17 @@
 Every optimizer is one loop, K <- step(K, direction, eta), driven by a
 direction object. The exact direction evaluates the closed-loop quantities
 (model-based gradient descent, natural gradient and Gauss-Newton, and the
-noisy-gradient loop, gradient descent whose step adds seeded Gaussian
-noise), so each is a step rule on the same direction. The estimated
-direction consumes a :class:`~lqrpg.sim.RolloutOracle` through the
-zeroth-order estimators (model-free gradient descent and natural gradient).
-Each public ``run_*`` function supplies a direction and a step map, so every
-run emits the same :class:`ConvergenceTrace` schema and CSVs are uniform.
-The loop holds a stack of runs as arrays and advances it in lockstep; each
-run has its own rules, and each step rule moves all of its runs at once.
-The public functions run a stack of one; the harness runs every
-exact-gradient run of a grid on one plant as one stack, and every
-model-free variant of a repetition as another.
+noisy-gradient loop, gradient descent whose step adds seeded Gaussian noise),
+so each is a step rule on the same direction. The estimated direction
+(model-free gradient descent and natural gradient) makes one call of the
+zeroth-order estimator core per group of runs whose draws coincide, each run
+through its :class:`~lqrpg.sim.RolloutOracle`. Each public ``run_*`` function
+supplies a direction and a step map, so every run emits the same
+:class:`ConvergenceTrace` schema and CSVs are uniform. The loop holds a stack
+of runs as arrays and advances it in lockstep; each run has its own rules, and
+each step rule moves all of its runs at once. The public functions run a stack
+of one; the harness runs every exact-gradient run of a grid on one plant as one
+stack, and every model-free variant of a repetition as another.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ import numpy as np
 
 from .bounds import PlantNorms, npg_step_bound, pgd_step_bound
 from .errors import ConfigurationError
-from .estimators import (estimate_gradient, estimate_gradient_covariance,
-                         estimate_gradient_vr)
+from .estimators import _estimate
 from .exact import _Stack, _exact_stack, _not_stabilizing, solve_dare
 from .plants import PlantModel, smallest_eigenvalue
 from .sim import Purpose, RolloutConfig, RolloutOracle, SeedSpec
@@ -206,12 +205,15 @@ class _Exact:
 class _Estimated:
     """Direction from zeroth-order estimates through rollout oracles, for a
     stack of model-free runs: the members of :func:`_mf_run`, each with its
-    run, estimate function, plant norms and optimal cost.
+    run, estimate source, plant norms and optimal cost.
 
-    Each iteration calls ``estimate(K, i)`` of every live member, in member
-    order. The recorded cost is the mean of the estimate's rollout costs, the
-    only cost observable without the model. An estimated covariance, unless
-    it failed, stands in for Sigma_K; a member without one gets a NaN Sigma.
+    Each iteration makes one :func:`~lqrpg.estimators._estimate` call per
+    group of live members whose draws coincide (seeds, (n_u, n_x), (n, l, r),
+    run id, baseline count, mf_npg or not); a member with the testing hook
+    ``estimate(K, i)`` estimates alone. The recorded cost is the mean of the
+    estimate's rollout costs, the only cost observable without the model. An
+    estimated covariance, unless it failed, stands in for Sigma_K; a member
+    without one gets a NaN Sigma.
     """
 
     failure = "estimate_failed"
@@ -219,13 +221,25 @@ class _Estimated:
     step_c_star = 0.0
 
     def __init__(self, members: list[tuple]):
-        _, self.estimates, self.norms, self.c_star = zip(*members)
+        _, self.sources, self.norms, self.c_star = zip(*members)
 
     def start(self, K0s) -> list[np.ndarray]:
         return [np.asarray(K0, dtype=float) for K0 in K0s]
 
     def evaluate(self, live: np.ndarray, Ks: np.ndarray, i: int):
-        gs, covs = zip(*(self.estimates[r](K, i) for r, K in zip(live.tolist(), Ks)))
+        est, groups = {}, {}
+        for r, K in zip(live.tolist(), Ks):
+            if callable(source := self.sources[r]):
+                est[r] = source(K, i)
+                continue
+            oracle, cfg, n_v, cov, offset = source
+            key = (oracle.seeds, oracle.n_u, oracle.n_x, cfg.n, cfg.l, cfg.r,
+                   offset + i, n_v, cov)
+            groups.setdefault(key, (cfg, []))[1].append((r, (oracle, K)))
+        for (*_, run_id, n_v, cov), (cfg, members) in groups.items():
+            rs, group = zip(*members)
+            est.update(zip(rs, _estimate(group, cfg, run_id, n_v, cov, keep_terms=True)))
+        gs, covs = zip(*(est[r] for r in live.tolist()))
         ok = np.array([not g.failed for g in gs])
         cost = np.array([float(np.mean(g.rollout_costs)) if keep and
                          g.rollout_costs is not None and len(g.rollout_costs)
@@ -380,30 +394,15 @@ def _optimize(direction, runs: list[_Run]):
     return traces
 
 
-def _exact(plant, K0s, schedule, stop, step, flavor) -> list[ConvergenceTrace]:
-    """Traces of exact-gradient runs from ``K0s``, each moved by ``step``."""
-    runs = [_Run(K0, schedule, stop, step, flavor) for K0 in K0s]
-    return _optimize(_Exact(plant, runs), runs)
+def _exact_run(optimizer, plant, K0, schedule, stop, sigma=0.0, normals=None):
+    """The trace of one exact-gradient run of ``optimizer`` from ``K0`` by its
+    :func:`_exact_rule`, plus ``sigma`` times row i of ``normals`` at step i."""
+    run = _Run(K0, schedule, stop, *_exact_rule(optimizer, plant), sigma, normals)
+    return _optimize(_Exact(plant, [run]), [run])[0]
 
 
 def _gradient_step(K, s, eta):
     return K - eta[:, None, None] * s.grad
-
-
-def _pgd(plant, K0s, schedule, stop, noise_sigma=0.0, seeds=None,
-         run_ids=()) -> list[ConvergenceTrace]:
-    """Gradient descent on the exact gradient plus i.i.d. N(0, noise_sigma^2)
-    noise, which run r of the stack draws from the substreams of
-    ``run_ids[r]``; at ``noise_sigma`` 0, exact gradient descent, no draws."""
-    if noise_sigma < 0:
-        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if noise_sigma == 0:
-        return _exact(plant, K0s, schedule, stop, _gradient_step, "pgd")
-    shape = (plant.n_u, plant.n_x)
-    runs = [_Run(K0, schedule, stop, _gradient_step, "pgd", noise_sigma,
-                 _noise_rows(seeds, run_id, stop.max_iters, shape))
-            for K0, run_id in zip(K0s, run_ids)]
-    return _optimize(_Exact(plant, runs), runs)
 
 
 def _noise_rows(seeds: SeedSpec, run_id: int, length: int, shape) -> np.ndarray:
@@ -452,7 +451,7 @@ def run_mb_pgd(
     plant: PlantModel, K0: np.ndarray, schedule: StepSchedule, stop: StopRule
 ) -> ConvergenceTrace:
     """Exact policy gradient descent K <- K - eta * grad C(K)."""
-    return _pgd(plant, [K0], schedule, stop)[0]
+    return _exact_run("mb_pgd", plant, K0, schedule, stop)
 
 
 def run_mb_npg(
@@ -463,7 +462,7 @@ def run_mb_npg(
     The update equals K - eta * grad C(K) Sigma_K^{-1}; both forms are
     evaluated and must agree to 1e-10, which guards the Lyapunov solves.
     """
-    return _exact(plant, [K0], schedule, stop, *_exact_rule("mb_npg", plant))[0]
+    return _exact_run("mb_npg", plant, K0, schedule, stop)
 
 
 def run_mb_gauss_newton(
@@ -475,7 +474,7 @@ def run_mb_gauss_newton(
     -(R + B'PB)^{-1} B'PA.
     """
     schedule = _gauss_newton_schedule(StepSchedule(kind="fixed", eta=eta))
-    return _exact(plant, [K0], schedule, stop, *_exact_rule("mb_gauss_newton", plant))[0]
+    return _exact_run("mb_gauss_newton", plant, K0, schedule, stop)
 
 
 def run_noisy_gradient_pgd(
@@ -488,9 +487,14 @@ def run_noisy_gradient_pgd(
     run_id: int = 0,
 ) -> ConvergenceTrace:
     """Gradient descent on the exact gradient plus i.i.d. Gaussian noise:
-    K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2)."""
-    return _pgd(plant, [K0], StepSchedule(kind="fixed", eta=eta), stop,
-                noise_sigma, seeds, [run_id])[0]
+    K <- K - eta (grad C(K) + Delta), Delta entries N(0, noise_sigma^2) from
+    the substreams of ``run_id``; at ``noise_sigma`` 0, with no draws."""
+    if noise_sigma < 0:
+        raise ConfigurationError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    normals = _noise_rows(seeds, run_id, stop.max_iters, (plant.n_u, plant.n_x)) \
+        if noise_sigma > 0 else None
+    return _exact_run("noisy_pgd", plant, K0, StepSchedule(kind="fixed", eta=eta),
+                      stop, noise_sigma, normals)
 
 
 def run_mf_pgd(
@@ -547,24 +551,13 @@ def run_mf_npg(
 def _mf_run(optimizer, oracle, K0, schedule, stop, rollout_cfg, norms, c_star,
             use_vr=False, n_v=1, estimator=None, run_offset=0) -> tuple:
     """A member of a model-free stack: the run of ``optimizer`` ("mf_pgd" or
-    "mf_npg") from ``K0``, its estimate function ``estimate(K, i)``, its plant
-    norms and its optimal cost. Iteration i estimates with ``rollout_cfg`` at
-    run id ``run_offset + i``, unless the testing hook ``estimator(K, i)``
-    replaces it. Each mf_npg member steps by its own rule, so a covariance
-    below the floor fails only that member."""
+    "mf_npg") from ``K0``, its estimate source, its plant norms and its
+    optimal cost. Iteration i estimates with ``rollout_cfg`` at run id
+    ``run_offset + i``, unless the testing hook ``estimator(K, i)`` replaces
+    it. Each mf_npg member steps by its own rule, so a covariance below the
+    floor fails only that member."""
     if rollout_cfg is None and estimator is None:
         raise ConfigurationError("model-free runs need a RolloutConfig")
-
-    def estimate(K, i):
-        rid = run_offset + i
-        if optimizer == "mf_npg":
-            return estimate_gradient_covariance(oracle, K, rollout_cfg, run_id=rid,
-                                                keep_terms=True)
-        if use_vr:
-            return estimate_gradient_vr(oracle, K, rollout_cfg, n_v, run_id=rid,
-                                        keep_terms=True), None
-        return estimate_gradient(oracle, K, rollout_cfg, run_id=rid, keep_terms=True), None
-
     run = _Run(K0, schedule, stop, _gradient_step, "pgd")
     if optimizer == "mf_npg":
         cov_floor = norms.lam_Sigma_w / 2.0 if norms is not None else 1e-8
@@ -575,4 +568,5 @@ def _mf_run(optimizer, oracle, K0, schedule, stop, rollout_cfg, norms, c_star,
             return K - eta[:, None, None] * s.grad @ np.linalg.inv(s.Sigma)
 
         run = _Run(K0, schedule, stop, step, "npg")
-    return run, estimator or estimate, norms, c_star
+    return run, estimator or (oracle, rollout_cfg, n_v if use_vr else None,
+                              optimizer == "mf_npg", run_offset), norms, c_star

@@ -12,11 +12,12 @@ wraps a plant behind an interface that never exposes
 (A, B, Sigma_w), which is the model-free contract the estimators rely on: it
 draws and rolls out whole batches and prices them with
 :func:`empirical_cost`, the one stage-cost formula. A batch is one time-major
-buffer (l, n, n_x), of noise, then states; :meth:`RolloutOracle.rollout_costs`
-streams a cost-only batch through one reused buffer of a chunk of ids, with
-the whole batch's bytes; the importing process splits a batch of two or more
-chunks with one forked child per other CPU. The oracles of a lockstep stack
-of runs draw through one :class:`_DrawMemo`.
+buffer (l, n, n_x), of noise, then states. :func:`_roll` rolls out a group
+of oracles that share their master seed and n_x on the same ids, drawing
+each coloring pass's normals once; :func:`_costs` streams such cost-only
+batches through one reused buffer of a chunk of ids, with the whole batch's
+bytes, and the importing process splits a batch of two or more chunks with
+one forked child per other CPU. An oracle's batch methods are groups of one.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ _M32 = (1 << 32) - 1
 # by as many ids per pass, or by as many as fill _CHUNK_NORMALS if fewer (>= 1),
 # so that a chunk's normals stay small next to one (l, n, n_x) state array.
 _SEED_CHUNK, _CHUNK_NORMALS = 256, 2**17
-# Bytes of states that RolloutOracle.rollout_costs holds per streamed chunk.
+# Bytes of states that _costs holds per streamed chunk.
 _STREAM_BYTES = 2**22
 _HOME_PID = os.getpid()  # the only process that forks chunk children
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
@@ -237,32 +238,6 @@ class SeedSpec:
         return _seeded(_pcg64_states(words)[0])[0]
 
 
-class _DrawMemo:
-    """The draws of ``seeds`` for the oracles of one lockstep stack, each made
-    once: :meth:`draw` keeps the read-only arrays of the latest run id's
-    ``range`` batches, at most ``_STREAM_BYTES`` in all, and a new run id
-    evicts them. Other ids and :meth:`generator` redraws pass through."""
-
-    def __init__(self, seeds: SeedSpec):
-        self.seeds, self.run_id, self.arrays = seeds, None, {}
-        self.generator = seeds.generator
-
-    def draw(self, run_id: int, rollout_ids, purpose: Purpose, shape) -> np.ndarray:
-        if not isinstance(rollout_ids, range):
-            return self.seeds.draw(run_id, rollout_ids, purpose, shape)
-        if run_id != self.run_id:
-            self.run_id, self.arrays = run_id, {}
-        key = (rollout_ids, purpose, tuple(shape))
-        out = self.arrays.get(key)
-        if out is None:
-            out = self.seeds.draw(run_id, rollout_ids, purpose, shape)
-            out.flags.writeable = False
-            held = sum(a.nbytes for a in self.arrays.values())
-            if held + out.nbytes <= _STREAM_BYTES:
-                self.arrays[key] = out
-        return out
-
-
 @dataclass(frozen=True)
 class RolloutConfig:
     """Estimator knobs: rollouts n, length l, exploration radius r, initial
@@ -358,7 +333,7 @@ def simulate_batch(
 
     ``states`` (l, n, n_x) is stepped in place: rows 1..l-1 come in holding
     the noise, column k from rollout k's own substream
-    (:meth:`RolloutOracle.rollout_batch`), row 0 is set to ``x0s``, and
+    (:func:`_roll`), row 0 is set to ``x0s``, and
     every row leaves holding the states. A rollout's states do not depend on
     the rest of its batch, bit for bit. Returns (states, overflow_step (n,))
     where overflow_step is -1 for finite rollouts and the first bad step
@@ -407,13 +382,13 @@ def _einsum_cost(states: np.ndarray, Q: np.ndarray, R: np.ndarray, K: np.ndarray
 
 
 def _color_step(l: int, n_x: int) -> int:
-    """Ids whose noise :meth:`RolloutOracle.rollout_batch` colors per pass."""
+    """Ids whose noise :func:`_roll` draws and colors per pass."""
     return max(1, min(_SEED_CHUNK, _CHUNK_NORMALS // (l * n_x)))
 
 
 def _stream_edges(n: int, l: int, n_x: int) -> list[int]:
-    """Edges [0, ..., n] of the chunks that :meth:`RolloutOracle.rollout_costs`
-    streams n ids through with the whole batch's bytes: one chunk if
+    """Edges [0, ..., n] of the chunks that :func:`_costs` streams n ids
+    through with the whole batch's bytes: one chunk if
     :func:`_batch_cost` prices the batch by einsum; else whole coloring passes
     holding about ``_STREAM_BYTES`` of states, each chunk, the last (with a
     short remainder) too, long enough for the blocked path."""
@@ -520,8 +495,12 @@ class RolloutOracle:
         """Bounded initial states (len(rollout_ids), n_x), one per id, as
         :func:`sample_initial_state` draws them from the id's substream."""
         Z = self._seeds.draw(run_id, rollout_ids, Purpose.INITIAL_STATE, (self.n_x,))
+        return self._bounded(Z, run_id, rollout_ids)
+
+    def _bounded(self, Z: np.ndarray, run_id: int, rollout_ids) -> np.ndarray:
+        """The initial states of the ids' first raw normals Z (len(rollout_ids),
+        n_x); a row past L0 continues its own stream in the rejection loop."""
         X = (self._factor_0[None] @ Z[:, :, None])[:, :, 0]
-        # A row past L0 continues its own stream in the rejection loop.
         for j in np.flatnonzero(~(np.sqrt(np.vecdot(X, X)) <= self._L0)):
             g = self._seeds.generator(run_id, rollout_ids[j], Purpose.INITIAL_STATE)
             X[j] = _bounded_draw(self._factor_0, self._L0, g, _MAX_REJECTIONS)[0]
@@ -555,94 +534,109 @@ class RolloutOracle:
         return Trajectory(states=states[:, 0], gain_used=K,
                           seed_label=(run_id, rollout_id, int(purpose)))
 
-    def rollout_batch(
-        self,
-        Ks: np.ndarray,
-        x0s: np.ndarray,
-        l: int,
-        run_id: int,
-        rollout_ids,
-        purpose: Purpose = Purpose.NOISE,
-        out: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched rollouts, one noise substream per rollout id, in one buffer
-        (l, n, n_x), new or ``out``: rows 1..l-1 take the colored noise a
-        chunk of ids at a time, and :func:`simulate_batch` overwrites them
-        with the states."""
-        if l < 1:
-            raise ConfigurationError(f"l must be >= 1, got {l}")
-        states = np.empty((l, len(rollout_ids), self.n_x)) if out is None else out
-        step = _color_step(l, self.n_x)
-        # At l = 1 there are no noise rows to draw.
-        for a in range(0, len(rollout_ids) if l > 1 else 0, step):
-            ids = rollout_ids[a:a + step]
-            noise = self._seeds.draw(run_id, ids, purpose, (l - 1, self.n_x))
-            states[1:, a:a + len(ids)] = (noise @ self._factor_w.T).transpose(1, 0, 2)
-        return simulate_batch(self._plant, Ks, x0s, l, states)
+    def rollout_batch(self, Ks: np.ndarray, x0s: np.ndarray, l: int, run_id: int,
+                      rollout_ids, purpose: Purpose = Purpose.NOISE):
+        """Batched rollouts, one noise substream per rollout id, in one new
+        buffer (l, n, n_x): :func:`_roll` of a group of one."""
+        return next(_roll([(self, Ks, x0s)], l, run_id, rollout_ids, purpose))
 
     def rollout_costs(self, Ks: np.ndarray, x0s: np.ndarray, l: int, run_id: int,
                       rollout_ids, purpose: Purpose = Purpose.NOISE):
-        """Roll out and price a batch without keeping its states: (costs (n,),
-        None), or (None, index of the first overflowed rollout). The batch
-        streams through one reused buffer, a chunk of ids at a time
-        (:func:`_stream_edges`); each chunk is :meth:`rollout_batch` then
-        :meth:`stage_cost`, and the costs are the whole batch's, bit for bit.
-        In the process that imported this module, a batch of two or more
-        chunks is split into runs of whole chunks, one per usable CPU, that
-        it and forked children price into shared memory before it returns.
-        Chunks after the first that overflows in a run are not simulated."""
-        def stream(costs, edges):
-            buf = np.empty((l, max(np.diff(edges)), self.n_x))
-            for a, b in zip(edges, edges[1:]):
-                states, overflow = self.rollout_batch(Ks[a:b], x0s[a:b], l, run_id,
-                                                      rollout_ids[a:b], purpose,
-                                                      out=buf[:, :b - a])
-                if np.any(overflow >= 0):
-                    return a + int(np.argmax(overflow >= 0))
-                # Finite states can still give costs that overflow to inf.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    costs[a:b] = self.stage_cost(states, Ks[a:b])
-            return None
-
-        edges = _stream_edges(len(rollout_ids), l, self.n_x)
-        cpus = len(os.sched_getaffinity(0)) if os.getpid() == _HOME_PID else 1
-        if (procs := min(cpus, len(edges) - 1)) == 1:
-            costs = np.empty(len(rollout_ids))
-            bad = stream(costs, edges)
-            return (costs, None) if bad is None else (None, bad)
-        import mmap
-        import signal
-        # Process p prices edges[cuts[p]:cuts[p + 1] + 1]; child p sets bads[p].
-        cuts = [p * (len(edges) - 1) // procs for p in range(procs + 1)]
-        shared = mmap.mmap(-1, 8 * (len(rollout_ids) + procs))
-        costs = np.frombuffer(shared, count=len(rollout_ids))
-        bads = np.frombuffer(shared, np.int64, offset=costs.nbytes)
-        pids = []
-        try:
-            for p in range(1, procs):
-                if (pid := os.fork()) == 0:
-                    status = 1
-                    try:
-                        bad = stream(costs, edges[cuts[p]:cuts[p + 1] + 1])
-                        bads[p], status = -1 if bad is None else bad, 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-            bad = stream(costs, edges[:cuts[1] + 1])
-            while pids and bad is None:
-                p, status = procs - len(pids), os.waitpid(pids[0], 0)[1]
-                del pids[0]
-                if status := os.waitstatus_to_exitcode(status):
-                    raise RuntimeError(f"rollout chunk process exit status {status}")
-                bad = None if bads[p] < 0 else int(bads[p])
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        return (costs.copy(), None) if bad is None else (None, bad)
+        """(costs (n,), None), or (None, index of the first overflowed rollout),
+        of a batch that :func:`_costs` rolls out and prices as a group of one."""
+        return _costs([(self, Ks, x0s)], l, run_id, rollout_ids, purpose)[0]
 
     def stage_cost(self, states: np.ndarray, Ks: np.ndarray) -> np.ndarray:
         """Empirical (Q, R) costs (n,) of a time-major batch of states
         (l, n, n_x), as :meth:`rollout_batch` returns it, under the gains that
         produced them: Ks (n, n_u, n_x) or one shared gain."""
         return _batch_cost(states, self._plant.Q, self._plant.R, Ks)
+
+
+def _roll(members, l: int, run_id: int, ids, purpose: Purpose, buf=None):
+    """Yield the (states, overflow) of each member (oracle, Ks, x0s) of a
+    group whose oracles share their master seed and n_x, on the same ids, in
+    one buffer (l, len(ids), n_x), new or ``buf``, that the next member
+    overwrites. Rows 1..l-1 take the noise of a coloring pass of ids at a
+    time, drawn once for the group and colored with the member's Sigma_w
+    factor; :func:`simulate_batch` overwrites them with the states."""
+    if l < 1:
+        raise ConfigurationError(f"l must be >= 1, got {l}")
+    seeds, n_x = members[0][0]._seeds, members[0][0].n_x
+    # At l = 1 there are no noise rows to draw.
+    starts = range(0, len(ids) if l > 1 else 0, _color_step(l, n_x))
+    noise = (seeds.draw(run_id, ids[a:a + starts.step], purpose, (l - 1, n_x))
+             for a in starts)
+    if len(members) > 1:
+        noise = list(noise)
+    states = np.empty((l, len(ids), n_x)) if buf is None else buf
+    for oracle, Ks, x0s in members:
+        for a, z in zip(starts, noise):
+            states[1:, a:a + len(z)] = (z @ oracle._factor_w.T).transpose(1, 0, 2)
+        z = None  # a lone member's last pass is not held while it is priced
+        yield simulate_batch(oracle._plant, Ks, x0s, l, states)
+
+
+def _costs(members, l: int, run_id: int, ids, purpose: Purpose) -> list:
+    """Roll out and price the batch of each member (oracle, Ks, x0s) of a
+    :func:`_roll` group without keeping the states: per member (costs (n,),
+    None), or (None, index of its first overflowed rollout). The batches
+    stream through one reused buffer, a chunk of ids at a time
+    (:func:`_stream_edges`); each chunk is :func:`_roll` then each member's
+    :meth:`RolloutOracle.stage_cost`, and the costs are the whole batch's,
+    bit for bit. In the process that imported this module, a batch of two or
+    more chunks is split into runs of whole chunks, one per usable CPU, that
+    it and forked children price into shared memory before it returns. A
+    member's chunks after its first overflowed one in a run are not
+    simulated; the other members go on."""
+    m, n, n_x = len(members), len(ids), members[0][0].n_x
+
+    def stream(costs, bads, edges):  # bads[j] stays -1 while member j is finite
+        buf = np.empty((l, max(np.diff(edges)), n_x))
+        for a, b in zip(edges, edges[1:]):
+            live = (bads < 0).nonzero()[0].tolist()
+            chunk = [(members[j][0], members[j][1][a:b], members[j][2][a:b]) for j in live]
+            rolled = _roll(chunk, l, run_id, ids[a:b], purpose, buf[:, :b - a])
+            for j, (oracle, Ks, _), (states, overflow) in zip(live, chunk, rolled):
+                if np.any(overflow >= 0):
+                    bads[j] = a + int(np.argmax(overflow >= 0))
+                else:  # finite states can still give costs that overflow to inf
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        costs[j, a:b] = oracle.stage_cost(states, Ks)
+
+    edges = _stream_edges(n, l, n_x)
+    cpus = len(os.sched_getaffinity(0)) if os.getpid() == _HOME_PID else 1
+    # Process p prices edges[cuts[p]:cuts[p + 1] + 1] into column p of bads.
+    procs = min(cpus, len(edges) - 1)
+    cuts = [p * (len(edges) - 1) // procs for p in range(procs + 1)]
+    import mmap
+    import signal
+    shared = mmap.mmap(-1, 8 * m * (n + procs))
+    costs = np.frombuffer(shared, count=m * n).reshape(m, n)
+    bads = np.frombuffer(shared, np.int64, offset=costs.nbytes).reshape(m, procs)
+    bads[:] = -1
+    pids = []
+    try:
+        for p in range(1, procs):
+            if (pid := os.fork()) == 0:
+                status = 1
+                try:
+                    stream(costs, bads[:, p], edges[cuts[p]:cuts[p + 1] + 1])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        stream(costs, bads[:, 0], edges[:cuts[1] + 1])
+        bad = bads[:, 0].copy()
+        while pids and np.any(bad < 0):
+            p, status = procs - len(pids), os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status := os.waitstatus_to_exitcode(status):
+                raise RuntimeError(f"rollout chunk process exit status {status}")
+            bad = np.where(bad < 0, bads[:, p], bad)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [(costs[j].copy(), None) if bad[j] < 0 else (None, int(bad[j]))
+            for j in range(m)]

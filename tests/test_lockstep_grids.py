@@ -2,13 +2,15 @@
 
 Repetition rep of every model-free variant of a grid is one lockstep stack,
 across plants and iteration caps, which makes one ``_Estimated.evaluate``
-call per iteration and whose oracles draw through one ``_DrawMemo``. Every
-run of the exact-gradient variants on one plant instance is a member of one
-lockstep stack, and noisy variants of one master seed draw each repetition's
-noise once. The grid's files must equal those of per-variant
-``run_monte_carlo`` calls (stacks of one, which use no memo) byte for byte,
-at any thread count; the mixed model-free grid's files and the number of
-draws a grid makes are pinned, and no draw may be reused across calls.
+call per iteration; each of these estimates every group of live variants
+whose draws coincide with one estimator-core call, which draws each of the
+group's random numbers once. Every run of the exact-gradient variants on one
+plant instance is a member of one lockstep stack, and noisy variants of one
+master seed draw each repetition's noise once. The grid's files must equal
+those of per-variant ``run_monte_carlo`` calls (stacks of one, which estimate
+alone) byte for byte, at any thread count; the mixed model-free grid's files
+and the number of draws a grid makes are pinned, and no draw may be reused
+across calls.
 """
 import filecmp
 import hashlib
@@ -23,7 +25,7 @@ from lqrpg import (ConfigurationError, Purpose, SeedSpec, config_from_dict,
                    figure_preset, run_monte_carlo)
 from lqrpg import optimizers
 from lqrpg.harness import detuned_initial_gain
-from lqrpg.sim import _STREAM_BYTES, _DrawMemo, _color_step
+from lqrpg.sim import _color_step
 
 
 def small_preset(name: str):
@@ -175,7 +177,7 @@ MIXED_MODEL_FREE_DIGESTS = {
                      ["f2ae3f8681ddd2f1", "9a831edb1a1e4ac9", "35089deb78be3b4f"]),
 }
 # The ``SeedSpec.draw`` calls of one pass of the mixed model-free grid.
-MIXED_MODEL_FREE_DRAWS = 189
+MIXED_MODEL_FREE_DRAWS = 216
 
 
 def digest(path) -> str:
@@ -231,8 +233,30 @@ def test_mixed_model_free_grid_evaluates_one_stack_per_repetition(tmp_path,
     assert len(evaluate_calls) == 3 * 6  # pgd_fails, the longest, ends after 6
 
 
+@pytest.fixture
+def core_calls(monkeypatch):
+    """The number of members of every estimator-core call of the optimizers."""
+    calls = []
+    estimate = optimizers._estimate
+
+    def counting(members, *args, **kwargs):
+        calls.append(len(members))
+        return estimate(members, *args, **kwargs)
+
+    monkeypatch.setattr(optimizers, "_estimate", counting)
+    return calls
+
+
+def test_fig2_grid_estimates_each_iteration_as_one_group(tmp_path, core_calls,
+                                                          evaluate_calls):
+    """fig2's variants share their master seed, shapes, (n, l, r) and run ids,
+    across two plants: one estimator-core call per iteration per repetition."""
+    run_monte_carlo(small_preset("fig2"), out_dir=str(tmp_path), threads=1)
+    assert core_calls == evaluate_calls == [3] * (2 * 3)
+
+
 # The ``SeedSpec.draw`` calls of one pass of each small model-free preset.
-PRESET_DRAWS = {"fig2": 36, "fig3": 270, "fig4": 36}
+PRESET_DRAWS = {"fig2": 36, "fig3": 180, "fig4": 36}
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_DRAWS))
@@ -290,36 +314,3 @@ def test_stack_of_one_draws_as_before(tmp_path, draw_calls):
     assert estimates == 12 and all(r.status == "ok" for t in bundle.traces
                                    for r in t.records)
     assert len(draw_calls) == estimates * (2 + math.ceil(600 / _color_step(30, 3)))
-
-
-class TestDrawMemo:
-    def test_draws_match_seed_spec_and_are_read_only(self):
-        seeds = SeedSpec(3)
-        memo = _DrawMemo(seeds)
-        for ids in (range(5), range(5, 9), [1, 2]):
-            first = memo.draw(4, ids, Purpose.NOISE, (2, 3))
-            again = memo.draw(4, ids, Purpose.NOISE, (2, 3))
-            assert first.tobytes() == again.tobytes()
-            assert first.tobytes() == seeds.draw(4, ids, Purpose.NOISE, (2, 3)).tobytes()
-            if isinstance(ids, range):
-                assert again is first
-                with pytest.raises(ValueError):
-                    first[0] = 0.0
-        g = memo.generator(4, 7, Purpose.PERTURBATION)
-        assert g.standard_normal(3).tobytes() == seeds.generator(
-            4, 7, Purpose.PERTURBATION).standard_normal(3).tobytes()
-
-    def test_new_run_id_evicts_and_size_is_capped(self, draw_calls):
-        memo = _DrawMemo(SeedSpec(0))
-        rows = _STREAM_BYTES // (8 * 300) // 3  # a third of the cap per batch
-        batches = [range(a, a + rows) for a in range(0, 5 * rows, rows)]
-        for ids in batches:
-            memo.draw(1, ids, Purpose.NOISE, (100, 3))
-            assert sum(a.nbytes for a in memo.arrays.values()) <= _STREAM_BYTES
-        assert len(memo.arrays) == 3
-        for ids in batches:
-            memo.draw(1, ids, Purpose.NOISE, (100, 3))
-        assert len(draw_calls) == 5 + 2  # the two batches past the cap, again
-        memo.draw(2, batches[0], Purpose.NOISE, (100, 3))
-        assert list(memo.arrays) == [(batches[0], Purpose.NOISE, (100, 3))]
-        assert len(draw_calls) == 8

@@ -30,9 +30,9 @@ from lqrpg import (
     scalar_s1,
     solve_dare,
 )
-from lqrpg.optimizers import (_Estimated, _exact, _gauss_newton_schedule,
-                               _gauss_newton_step, _mf_run, _natural_step, _optimize,
-                               _pgd)
+from lqrpg.optimizers import (_Estimated, _Exact, _Run, _gauss_newton_schedule,
+                               _gauss_newton_step, _gradient_step, _mf_run,
+                               _natural_step, _noise_rows, _optimize)
 from lqrpg.plants import PlantModel
 from conftest import assert_same_trace, random_plant, random_stabilizing_gain
 
@@ -435,18 +435,23 @@ class TestLockstep:
                                run_offset=40 * r) for r, K0 in enumerate(K0s)]
             return _optimize(_Estimated(members), [m[0] for m in members])
 
+        def exact_stack(sched, step, flavor, sigma=0.0):
+            # A noisy run r draws its noise from the substreams of run id 10 + r.
+            runs = [_Run(K0, sched, stop, step, flavor, sigma,
+                         _noise_rows(SeedSpec(3), 10 + r, stop.max_iters, (1, 1))
+                         if sigma else None) for r, K0 in enumerate(K0s)]
+            return _optimize(_Exact(S1, runs), runs)
+
         runs = {
-            "mb_pgd": (lambda: _pgd(S1, K0s, sched, stop),
+            "mb_pgd": (lambda: exact_stack(sched, _gradient_step, "pgd"),
                        lambda r: run_mb_pgd(S1, K0s[r], sched, stop)),
-            "mb_npg": (lambda: _exact(S1, K0s, sched, stop, _natural_step, "npg"),
+            "mb_npg": (lambda: exact_stack(sched, _natural_step, "npg"),
                        lambda r: run_mb_npg(S1, K0s[r], sched, stop)),
             "mb_gauss_newton": (
-                lambda: _exact(S1, K0s, gauss_newton, stop, _gauss_newton_step(S1),
-                               "pgd"),
+                lambda: exact_stack(gauss_newton, _gauss_newton_step(S1), "pgd"),
                 lambda r: run_mb_gauss_newton(S1, K0s[r], 0.3, stop)),
             "noisy_pgd": (
-                lambda: _pgd(S1, K0s, sched, stop, 1.0, SeedSpec(3),
-                             range(10, 10 + len(K0s))),
+                lambda: exact_stack(sched, _gradient_step, "pgd", sigma=1.0),
                 lambda r: run_noisy_gradient_pgd(S1, K0s[r], 0.1, 1.0, stop,
                                                  SeedSpec(3), run_id=10 + r)),
             "mf_pgd": (lambda: mf_stack("mf_pgd"),
@@ -468,5 +473,7 @@ class TestLockstep:
             assert {t.terminal_reason for t in traces} >= {"diverged", "converged"}
 
     def test_unstable_start_in_stack_raises(self):
+        runs = [_Run(K0, self.SCHED, self.STOP, _gradient_step, "pgd")
+                for K0 in (K_ZERO, np.array([[2.0]]))]
         with pytest.raises(ConfigurationError, match="K0 is not stabilizing"):
-            _pgd(S1, [K_ZERO, np.array([[2.0]])], self.SCHED, self.STOP)
+            _optimize(_Exact(S1, runs), runs)

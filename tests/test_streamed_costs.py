@@ -2,6 +2,7 @@
 (RolloutOracle.rollout_costs) against the whole batch, byte for byte."""
 import dataclasses
 import itertools
+import math
 import os
 import tracemalloc
 
@@ -139,12 +140,12 @@ class TestStreamedCosts:
         K = solve_dare(plant).K_star
         x0s = oracle.draw_initial_states(0, range(240))
         # Warm up, so that lazy imports do not count.
-        estimators._baselines(oracle, K, x0s[:2], 2, 100, 0, 0)
+        estimators._baselines([(oracle, K, x0s[:2])], 2, 100, 0, 0)
         for m in (60, 240):
             tracemalloc.start()
             try:
-                baselines, bad = estimators._baselines(oracle, K, x0s[:m], 200, 100,
-                                                       0, 0)
+                [(baselines, bad)] = estimators._baselines([(oracle, K, x0s[:m])], 200,
+                                                           100, 0, 0)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -263,3 +264,54 @@ def test_harness_workers_fork_no_chunk_children(cpus, tmp_path, monkeypatch):
                           for p in sub.run_paths]
         forks[threads] = len(cpus)
     assert forks[1] > 0 and files[1] == files[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_vr_group_shares_its_draws_and_stays_bounded(cpus, monkeypatch):
+    """fig3's two VR variants (the noise 1e-4 and 1e-2 plants; n = 60,
+    n_v = 200, l = 100) estimated as one group at one run id: each member's
+    estimate is its own, bit for bit; at 1 usable CPU the group draws each
+    baseline pass once (a chunk child's draws are not counted here); its
+    memory peaks at most one chunk buffer over a member's own; and a member
+    whose rollouts overflow fails as it does alone, and the other member's
+    estimate does not change."""
+    variants = [v for v in figure_preset("fig3").variants if v.use_vr]
+    members = [(RolloutOracle(v.plant, SeedSpec(v.master_seed), L0=v.rollout.L0), v.K0)
+               for v in variants]
+    cfg, n_v = variants[0].rollout, variants[0].n_v
+    assert len(members) == 2 and (cfg.n, cfg.l, n_v) == (60, 100, 200)
+
+    def alone(oracle, K):
+        return estimators.estimate_gradient_vr(oracle, K, cfg, n_v, run_id=4,
+                                               keep_terms=True)
+
+    def traced(estimate):
+        tracemalloc.start()
+        try:
+            return estimate(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone(*members[0])  # warm up, so that lazy imports do not count
+    refs, peaks = zip(*(traced(lambda: alone(*m)) for m in members))
+    purposes, draw = [], SeedSpec.draw
+    monkeypatch.setattr(SeedSpec, "draw", lambda self, run_id, ids, purpose, shape:
+                        purposes.append(purpose) or draw(self, run_id, ids, purpose,
+                                                         shape))
+    group, peak = traced(lambda: estimators._estimate(members, cfg, 4, n_v,
+                                                      keep_terms=True))
+    for (g, cov), ref in zip(group, refs):
+        assert cov is None and not g.failed
+        for name in ("value", "per_rollout_terms", "rollout_costs"):
+            assert getattr(g, name).tobytes() == getattr(ref, name).tobytes()
+    if len(os.sched_getaffinity(0)) == 1:
+        assert purposes.count(Purpose.BASELINE) == math.ceil(
+            cfg.n * n_v / sim._color_step(cfg.l, 3)) == 47
+    assert peak <= max(peaks) + 8 * chunk_size(cfg.l, 3) * cfg.l * 3
+
+    blown = (members[0][0], np.full_like(members[0][1], 1e150))
+    ref = alone(*blown)
+    (g, _), (other, _) = estimators._estimate([blown, members[1]], cfg, 4, n_v,
+                                              keep_terms=True)
+    assert ref.failed and g.failed and g.failed_rollout == ref.failed_rollout
+    assert other.value.tobytes() == refs[1].value.tobytes()
