@@ -60,9 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--repetitions": dict(type=int, default=None,
                               help="Monte Carlo repetition override"),
         "--threads": dict(type=_thread_count, default=1,
-                          help="worker processes (fork start method) for "
-                               "model-free repetitions; outputs do not depend "
-                               "on it ('auto' or an integer >= 1)"),
+                          help="forked worker processes for model-free "
+                               "repetitions; outputs do not depend on it "
+                               "('auto': one per usable CPU, or an integer >= 1)"),
         "--format": dict(choices=("csv", "json"), default=None,
                          help="artifact format override"),
     }

@@ -148,7 +148,7 @@ def _estimate(members, cfg: RolloutConfig, run_id: int, n_v: int | None = None,
 def estimate_gradient(oracle: RolloutOracle, K: np.ndarray, cfg: RolloutConfig,
                       run_id: int = 0, keep_terms: bool = False) -> GradientEstimate:
     """The gradient estimate of :func:`estimate_gradient_covariance`, bit for
-    bit, without keeping the states for a covariance."""
+    bit, without keeping the states for a covariance. ``cfg.L0`` is not read."""
     return _estimate([(oracle, K)], cfg, run_id, keep_terms=keep_terms)[0][0]
 
 
@@ -162,10 +162,10 @@ def estimate_gradient_covariance(
     """One-point sphere estimator of grad C(K) and Sigma_K.
 
     For each of n rollouts: perturb K by U_k with ||U_k||_F = r, roll out l
-    steps from a bounded initial state, and average the one-point terms
-    (d / r^2) * C_hat_k * U_k, d = n_x n_u, for the gradient and the
-    empirical state covariance for Sigma. Only K + U_k is rolled out; there
-    is no K - U_k rollout.
+    steps from an initial state bounded by the oracle's ``L0`` (``cfg.L0`` is
+    not read), and average the one-point terms (d / r^2) * C_hat_k * U_k,
+    d = n_x n_u, for the gradient and the empirical state covariance for
+    Sigma. Only K + U_k is rolled out; there is no K - U_k rollout.
     """
     return _estimate([(oracle, K)], cfg, run_id, cov=True, keep_terms=keep_terms)[0]
 
@@ -181,9 +181,10 @@ def estimate_baseline(
 ) -> BaselineEstimate:
     """Average finite-horizon cost of n_v unperturbed rollouts from one x0.
 
-    Estimates the state-dependent baseline used for variance reduction.
-    Baseline rollouts draw from dedicated noise substreams starting at
-    ``rollout_base`` so they never collide with the main rollouts.
+    Estimates the state-dependent baseline of ``x0``, used as given (no
+    ``L0`` bound), for variance reduction. Baseline rollouts draw from
+    dedicated noise substreams starting at ``rollout_base`` so they never
+    collide with the main rollouts.
     """
     K = np.asarray(K, dtype=float)
     x0 = np.asarray(x0, dtype=float).reshape(oracle.n_x)
@@ -208,7 +209,7 @@ def estimate_gradient_vr(
     cfg.n plays the role of the outer rollout count; each outer rollout
     estimates its own baseline, as :func:`estimate_baseline` with
     ``rollout_base = k * n_v``, from n_v unperturbed rollouts started at the
-    same initial state.
+    same initial state, bounded by the oracle's ``L0``; ``cfg.L0`` is not read.
     """
     return _estimate([(oracle, K)], cfg, run_id, n_v, keep_terms=keep_terms)[0][0]
 

@@ -6,9 +6,9 @@ reported at once, with its location. All randomness flows through one
 master seed; repetitions own disjoint substream ranges, so outputs are
 byte-identical for a fixed seed regardless of the worker count. The variants
 of a grid share these substreams: the model-free variants of a repetition
-are one lockstep stack, run in a worker process (fork start method), that
-estimates the variants with coinciding draws as one group; the exact-gradient
-variants on one plant instance are one lockstep stack too.
+are one lockstep stack, run in a forked worker process, that estimates
+the variants with coinciding draws as one group; the exact-gradient variants
+on one plant instance are one lockstep stack too.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .optimizers import (
 )
 from . import plants as _plants
 from .plants import PlantModel, smallest_eigenvalue
-from .sim import RolloutConfig, RolloutOracle, SeedSpec, default_initial_state_bound
+from .sim import RolloutConfig, RolloutOracle, SeedSpec, _forked, default_initial_state_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -536,29 +536,27 @@ def run_monte_carlo(
     The exact-gradient variants (mb_pgd, mb_npg, mb_gauss_newton, noisy_pgd)
     on one plant instance run as one lockstep stack. Repetition rep of every
     model-free variant (mf_pgd, mf_npg) is one lockstep stack whose variants
-    share their seeded draws; ``threads`` spreads these over worker processes
-    (fork start method), which get each plant with its optimum solved here
-    and raise their errors here. Results are collected in repetition order,
-    so outputs do not depend on the worker count. Every stack runs before
-    any file is written; a manifest's time counts from its stack(s)' start.
+    share their seeded draws. Of ``threads`` workers ("auto": one per usable
+    CPU), worker w runs repetitions w, w + workers, ... in a forked child
+    (:func:`~lqrpg.sim._forked`) that gets each plant with its optimum solved
+    here, and whose error is raised here as soon as it ends; one worker runs
+    here. Results are collected in repetition order, so outputs do not depend
+    on the worker count. Every stack runs before any file is written; a
+    manifest's time counts from its stack(s)' start.
     """
     t0 = time.monotonic()
     variants = cfg.variants or (cfg,)
     free = [v for v in variants if OPTIMIZERS[v.optimizer] == "mf"]
     reps = max((v.repetitions for v in free), default=0)
-    workers = min((os.cpu_count() or 1) if threads == "auto" else int(threads), reps)
+    workers = len(os.sched_getaffinity(0)) if threads == "auto" else int(threads)
+    workers = max(1, min(workers, reps))
     stacks = [[v for v in free if rep < v.repetitions] for rep in range(reps)]
     for v in free:
         solve_dare(v.plant)
-    if workers > 1:
-        import concurrent.futures
-        import multiprocessing
-
-        fork = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            done = list(pool.map(_run_stack, stacks, range(reps)))
-    else:
-        done = list(map(_run_stack, stacks, range(reps)))
+    shares = _forked([lambda w=w: [_run_stack(stacks[rep], rep)
+                                   for rep in range(w, reps, workers)]
+                      for w in range(workers)], here=workers == 1)
+    done = [shares[rep % workers][rep // workers] for rep in range(reps)]
     # Each stack lists its variants in the order of ``free``.
     model_free = iter([([done[rep].pop(0) for rep in range(v.repetitions)], t0)
                        for v in free])

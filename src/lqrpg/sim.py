@@ -17,7 +17,8 @@ of oracles that share their master seed and n_x on the same ids, drawing
 each coloring pass's normals once; :func:`_costs` streams such cost-only
 batches through one reused buffer of a chunk of ids, with the whole batch's
 bytes, and the importing process splits a batch of two or more chunks with
-one forked child per other CPU. An oracle's batch methods are groups of one.
+one child per other CPU, forked by :func:`_forked`, which also forks the
+harness's workers. An oracle's batch methods are groups of one.
 """
 from __future__ import annotations
 
@@ -241,7 +242,8 @@ class SeedSpec:
 @dataclass(frozen=True)
 class RolloutConfig:
     """Estimator knobs: rollouts n, length l, exploration radius r, initial
-    state bound L0."""
+    state bound L0, which the estimators do not read: the oracle's own ``L0``
+    bounds their initial states."""
 
     n: int
     l: int
@@ -586,13 +588,13 @@ def _costs(members, l: int, run_id: int, ids, purpose: Purpose) -> list:
     :meth:`RolloutOracle.stage_cost`, and the costs are the whole batch's,
     bit for bit. In the process that imported this module, a batch of two or
     more chunks is split into runs of whole chunks, one per usable CPU, that
-    it and forked children price into shared memory before it returns. A
-    member's chunks after its first overflowed one in a run are not
-    simulated; the other members go on."""
+    it and children forked by :func:`_forked` price. A member's chunks after
+    its first overflowed one in a run are not simulated; the others go on."""
     m, n, n_x = len(members), len(ids), members[0][0].n_x
+    costs, edges = np.empty((m, n)), _stream_edges(n, l, n_x)
 
-    def stream(costs, bads, edges):  # bads[j] stays -1 while member j is finite
-        buf = np.empty((l, max(np.diff(edges)), n_x))
+    def stream(edges):  # bads[j] stays -1 while member j is finite
+        buf, bads = np.empty((l, max(np.diff(edges)), n_x)), np.full(m, -1)
         for a, b in zip(edges, edges[1:]):
             live = (bads < 0).nonzero()[0].tolist()
             chunk = [(members[j][0], members[j][1][a:b], members[j][2][a:b]) for j in live]
@@ -603,40 +605,64 @@ def _costs(members, l: int, run_id: int, ids, purpose: Purpose) -> list:
                 else:  # finite states can still give costs that overflow to inf
                     with np.errstate(over="ignore", invalid="ignore"):
                         costs[j, a:b] = oracle.stage_cost(states, Ks)
+        return costs[:, edges[0]:edges[-1]], bads
 
-    edges = _stream_edges(n, l, n_x)
     cpus = len(os.sched_getaffinity(0)) if os.getpid() == _HOME_PID else 1
-    # Process p prices edges[cuts[p]:cuts[p + 1] + 1] into column p of bads.
     procs = min(cpus, len(edges) - 1)
     cuts = [p * (len(edges) - 1) // procs for p in range(procs + 1)]
-    import mmap
+    runs = _forked([lambda run=edges[a:b + 1]: stream(run)
+                    for a, b in zip(cuts, cuts[1:])], here=True)
+    bad = np.full(m, -1)
+    for a, b, (block, bads) in zip(cuts, cuts[1:], runs):
+        costs[:, edges[a]:edges[b]] = block
+        bad = np.where(bad < 0, bads, bad)
+    return [(costs[j], None) if bad[j] < 0 else (None, int(bad[j])) for j in range(m)]
+
+
+def _forked(jobs, here: bool) -> list:
+    """The results of the thunks ``jobs``, in job order: the first runs here
+    if ``here``, and each other in a child forked for it, which pipes back its
+    pickled result or exception. A child's exception is raised as soon as it
+    ends; one that ends without a result raises RuntimeError with its exit
+    status. No child outlives the call: the others are killed and reaped."""
+    import pickle
+    import select
     import signal
-    shared = mmap.mmap(-1, 8 * m * (n + procs))
-    costs = np.frombuffer(shared, count=m * n).reshape(m, n)
-    bads = np.frombuffer(shared, np.int64, offset=costs.nbytes).reshape(m, procs)
-    bads[:] = -1
-    pids = []
+
+    results, pending = [None] * len(jobs), {}  # read end -> (job index, pid)
     try:
-        for p in range(1, procs):
+        for i in range(1 if here else 0, len(jobs)):
+            r, w = os.pipe()
             if (pid := os.fork()) == 0:
-                status = 1
                 try:
-                    stream(costs, bads[:, p], edges[cuts[p]:cuts[p + 1] + 1])
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        stream(costs, bads[:, 0], edges[:cuts[1] + 1])
-        bad = bads[:, 0].copy()
-        while pids and np.any(bad < 0):
-            p, status = procs - len(pids), os.waitpid(pids[0], 0)[1]
-            del pids[0]
-            if status := os.waitstatus_to_exitcode(status):
-                raise RuntimeError(f"rollout chunk process exit status {status}")
-            bad = np.where(bad < 0, bads[:, p], bad)
+                    try:
+                        out = True, jobs[i]()
+                    except BaseException as error:
+                        import traceback
+                        out = False, (error, traceback.format_exc())
+                    with open(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(out))
+                    os._exit(0)
+                except BaseException:  # a child never returns into the caller
+                    os._exit(1)
+            os.close(w)
+            pending[open(r, "rb")] = i, pid
+        if here:
+            results[0] = jobs[0]()
+        while pending:
+            pipe = select.select(list(pending), [], [])[0][0]
+            data, (i, pid) = pipe.read(), pending.pop(pipe)
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not data:
+                raise RuntimeError(f"forked job exit status {status}")
+            ok, out = pickle.loads(data)
+            if not ok:  # the child's traceback, as text, is the cause
+                raise out[0] from RuntimeError(out[1])
+            results[i] = out
     finally:
-        for pid in pids:
+        for pipe, (_, pid) in pending.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [(costs[j].copy(), None) if bad[j] < 0 else (None, int(bad[j]))
-            for j in range(m)]
+            pipe.close()
+    return results

@@ -220,8 +220,22 @@ class TestSplitCosts:
 
         monkeypatch.setattr(sim, "simulate_batch", fails_in_children)
         oracle, per_row, x0s = self.batch(3 * chunk_size(100, 3) + 5)
-        with pytest.raises(RuntimeError, match="exit status 1"):
+        with pytest.raises(ValueError, match="^boom$"):
             oracle.rollout_costs(per_row, x0s, 100, 0, range(len(per_row)))
+
+    def test_child_without_a_result_raises_its_exit_status(self, cpus, monkeypatch):
+        caller, simulate_batch = os.getpid(), sim.simulate_batch
+
+        def exits_in_children(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return simulate_batch(*args)
+
+        monkeypatch.setattr(sim, "simulate_batch", exits_in_children)
+        oracle, per_row, x0s = self.batch(3 * chunk_size(100, 3) + 5)
+        with pytest.raises(RuntimeError, match="exit status 3"):
+            oracle.rollout_costs(per_row, x0s, 100, 0, range(len(per_row)))
+        assert cpus
 
     def test_caller_error_kills_the_children(self, cpus, monkeypatch):
         caller, simulate_batch = os.getpid(), sim.simulate_batch

@@ -1,9 +1,10 @@
-"""What crosses the process boundary of ``run_monte_carlo``'s worker pool:
-errors, plants and their optima, and the workers themselves."""
+"""What crosses the process boundary of ``run_monte_carlo``'s forked
+workers: errors, plants and their optima, and the workers themselves, none
+of which outlives a call."""
 import dataclasses
-import multiprocessing
 import os
 import pickle
+import select
 import time
 
 import pytest
@@ -20,6 +21,11 @@ ERRORS = [
     errors.ConvergenceError("no convergence", residual=3e-7),
     OverflowedRollout("overflow", step=3),
 ]
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_every_error_class_is_round_tripped():
@@ -73,7 +79,7 @@ def test_workers_get_each_optimum_from_the_caller(tmp_path, monkeypatch):
     assert not any(hasattr(v.plant, "_optimum") for v in cfg.variants)
     bundle = run_monte_carlo(cfg, out_dir=str(tmp_path), threads=2)
     assert [len(sub.traces) for sub in bundle.sub_bundles] == [2, 2, 2]
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_call(
@@ -88,11 +94,11 @@ def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_call(
     })
     bundle = run_monte_carlo(cfg, out_dir=str(tmp_path / "ok"), threads=2)
     assert len(bundle.traces) == 3
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
     # Repetition 0 fails at once; each later one marks its start, then takes
-    # 0.2 s to fail. The first error cancels the stacks not yet handed to a
-    # worker: only the 2 running and the few in the pool's call queue start.
+    # 0.2 s to fail. Worker 0's error ends the call at once: worker 1 is
+    # killed in its first repetition, and no later repetition starts.
     started = tmp_path / "started"
     started.mkdir()
 
@@ -111,5 +117,63 @@ def test_worker_errors_reach_the_caller_and_no_worker_outlives_a_call(
         run_monte_carlo(cfg, out_dir=str(tmp_path / "failed"), threads=2)
     assert info.value.step == 3
     assert info.value.pid != os.getpid()
-    assert multiprocessing.active_children() == []
-    assert "0" in os.listdir(started) and len(os.listdir(started)) <= 7
+    assert "in overflow" in str(info.value.__cause__)  # the worker's traceback
+    assert_no_children()
+    assert "0" in os.listdir(started) and len(os.listdir(started)) <= 2
+
+
+def small_grid(repetitions):
+    return config_from_dict({
+        "plant": {"preset": "scalar_s1"},
+        "optimizer": {"name": "mf_pgd", "max_iters": 2},
+        "schedule": {"kind": "fixed", "eta": 0.05},
+        "rollout": {"n": 8, "l": 5, "r": 0.1},
+        "gain": {"preset": "zero"},
+        "monte_carlo": {"repetitions": repetitions, "master_seed": 3},
+    })
+
+
+def test_a_failing_worker_beats_a_slower_sibling(tmp_path, monkeypatch):
+    """Repetition 1 fails at once and every other one takes 1 s: at two
+    workers the error is raised before worker 0 finishes its first stack,
+    and worker 0 is killed and reaped."""
+    def stack(cfgs, rep):
+        if rep == 1:
+            raise OverflowedRollout("boom", step=rep)
+        time.sleep(1.0)
+        return []
+
+    monkeypatch.setattr(harness, "_run_stack", stack)
+    start = time.monotonic()
+    with pytest.raises(OverflowedRollout, match="boom") as info:
+        run_monte_carlo(small_grid(4), out_dir=str(tmp_path), threads=2)
+    assert time.monotonic() - start < 0.5 and info.value.step == 1
+    assert_no_children()
+
+
+def test_an_interrupted_caller_kills_its_workers(tmp_path, monkeypatch):
+    """A KeyboardInterrupt while the caller waits for two 30 s workers ends
+    the call at once, and both workers are killed and reaped."""
+    def stack(cfgs, rep):
+        time.sleep(30.0)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "_run_stack", stack)
+    monkeypatch.setattr(select, "select", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_monte_carlo(small_grid(2), out_dir=str(tmp_path), threads=2)
+    assert time.monotonic() - start < 5.0
+    assert_no_children()
+
+
+def test_auto_threads_fork_no_worker_on_one_usable_cpu(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    bundle = run_monte_carlo(small_grid(3), out_dir=str(tmp_path), threads="auto")
+    assert len(bundle.traces) == 3
