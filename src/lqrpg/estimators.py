@@ -70,12 +70,12 @@ def _baselines(members, n_v, l, run_id, rollout_base) -> list:
     if n_v < 1:
         raise ConfigurationError(f"n_v must be >= 1, got {n_v}")
     m = len(members[0][2])
-    batches = [(oracle, np.broadcast_to(K, (m * n_v, *K.shape)),
-                np.repeat(x0s, n_v, axis=0)) for oracle, K, x0s in members]
+    batches = [(oracle, np.broadcast_to(K, (m * n_v, *K.shape)), x0s)
+               for oracle, K, x0s in members]
     ids = range(rollout_base, rollout_base + m * n_v)
     return [(None, bad // n_v) if bad is not None else
             (costs.reshape(m, n_v).mean(axis=1), None)
-            for costs, bad in _costs(batches, l, run_id, ids, Purpose.BASELINE)]
+            for costs, bad in _costs(batches, l, run_id, ids, Purpose.BASELINE, n_v)]
 
 
 def _failed(oracle, bad, meta):

@@ -14,11 +14,13 @@ draws and rolls out whole batches and prices them with
 :func:`empirical_cost`, the one stage-cost formula. A batch is one time-major
 buffer (l, n, n_x), of noise, then states. :func:`_roll` rolls out a group
 of oracles that share their master seed and n_x on the same ids, drawing
-each coloring pass's normals once; :func:`_costs` streams such cost-only
-batches through one reused buffer of a chunk of ids, with the whole batch's
-bytes, and the importing process splits a batch of two or more chunks with
-one child per other CPU, forked by :func:`_forked`, which also forks the
-harness's workers. An oracle's batch methods are groups of one.
+each coloring pass's normals once and coloring them in place; :func:`_costs`
+streams such cost-only batches through one reused buffer of a chunk of ids
+(about 2 MiB of states), with the whole batch's bytes, expanding only the
+chunk's own rows of initial states that runs of ids share, and the importing
+process splits a batch of two or more chunks with one child per other CPU,
+forked by :func:`_forked`, which also forks the harness's workers. An
+oracle's batch methods are groups of one.
 """
 from __future__ import annotations
 
@@ -67,8 +69,9 @@ _M32 = (1 << 32) - 1
 # by as many ids per pass, or by as many as fill _CHUNK_NORMALS if fewer (>= 1),
 # so that a chunk's normals stay small next to one (l, n, n_x) state array.
 _SEED_CHUNK, _CHUNK_NORMALS = 256, 2**17
-# Bytes of states that _costs holds per streamed chunk.
-_STREAM_BYTES = 2**22
+# Bytes of states that _costs holds per streamed chunk, so that one chunk's
+# states fit a 2 MiB per-core L2 cache.
+_STREAM_BYTES = 2**21
 _HOME_PID = os.getpid()  # the only process that forks chunk children
 # einsum's buffer size in elements (NumPy's NPY_BUFSIZE), and the time steps
 # that _batch_cost prices per array pass.
@@ -573,23 +576,27 @@ def _roll(members, l: int, run_id: int, ids, purpose: Purpose, buf=None):
         noise = list(noise)
     states = np.empty((l, len(ids), n_x)) if buf is None else buf
     for oracle, Ks, x0s in members:
-        for a, z in zip(starts, noise):
-            states[1:, a:a + len(z)] = (z @ oracle._factor_w.T).transpose(1, 0, 2)
+        for a, z in zip(starts, noise):  # colored in place, as z @ F' would be
+            np.matmul(z, oracle._factor_w.T,
+                      out=states[1:, a:a + len(z)].transpose(1, 0, 2))
         z = None  # a lone member's last pass is not held while it is priced
         yield simulate_batch(oracle._plant, Ks, x0s, l, states)
 
 
-def _costs(members, l: int, run_id: int, ids, purpose: Purpose) -> list:
+def _costs(members, l: int, run_id: int, ids, purpose: Purpose, rep: int = 1) -> list:
     """Roll out and price the batch of each member (oracle, Ks, x0s) of a
     :func:`_roll` group without keeping the states: per member (costs (n,),
-    None), or (None, index of its first overflowed rollout). The batches
-    stream through one reused buffer, a chunk of ids at a time
-    (:func:`_stream_edges`); each chunk is :func:`_roll` then each member's
-    :meth:`RolloutOracle.stage_cost`, and the costs are the whole batch's,
-    bit for bit. In the process that imported this module, a batch of two or
-    more chunks is split into runs of whole chunks, one per usable CPU, that
-    it and children forked by :func:`_forked` price. A member's chunks after
-    its first overflowed one in a run are not simulated; the others go on."""
+    None), or (None, index of its first overflowed rollout). Id k starts at
+    row k // ``rep`` of x0s, so a member's x0s may hold each initial state
+    once for ``rep`` consecutive ids. The batches stream through one reused
+    buffer, a chunk of ids at a time (:func:`_stream_edges`), and each chunk
+    expands only its own initial states; each chunk is :func:`_roll` then
+    each member's :meth:`RolloutOracle.stage_cost`, and the costs are the
+    whole batch's, bit for bit. In the process that imported this module, a
+    batch of two or more chunks is split into runs of whole chunks, one per
+    usable CPU, that it and children forked by :func:`_forked` price. A
+    member's chunks after its first overflowed one in a run are not
+    simulated; the others go on."""
     m, n, n_x = len(members), len(ids), members[0][0].n_x
     costs, edges = np.empty((m, n)), _stream_edges(n, l, n_x)
 
@@ -597,7 +604,9 @@ def _costs(members, l: int, run_id: int, ids, purpose: Purpose) -> list:
         buf, bads = np.empty((l, max(np.diff(edges)), n_x)), np.full(m, -1)
         for a, b in zip(edges, edges[1:]):
             live = (bads < 0).nonzero()[0].tolist()
-            chunk = [(members[j][0], members[j][1][a:b], members[j][2][a:b]) for j in live]
+            rows = np.arange(a, b) // rep
+            chunk = [(members[j][0], members[j][1][a:b], members[j][2][rows])
+                     for j in live]
             rolled = _roll(chunk, l, run_id, ids[a:b], purpose, buf[:, :b - a])
             for j, (oracle, Ks, _), (states, overflow) in zip(live, chunk, rolled):
                 if np.any(overflow >= 0):

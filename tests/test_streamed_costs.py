@@ -153,6 +153,90 @@ class TestStreamedCosts:
             assert peak <= 2 * sim._STREAM_BYTES
 
 
+    def test_baseline_memory_grows_only_by_its_costs(self, monkeypatch):
+        """At one usable CPU, the VR baselines of 48,000 rollouts peak at most
+        their 36,000 extra costs (and 64 KiB) over those of 12,000: the
+        initial states are expanded per chunk, not for the batch."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        plant = paper3x3(noise_scale=0.01)
+        oracle = RolloutOracle(plant, SeedSpec(0))
+        K = solve_dare(plant).K_star
+        x0s = oracle.draw_initial_states(0, range(240))
+        estimators._baselines([(oracle, K, x0s[:2])], 2, 100, 0, 0)  # warm up
+        peaks = []
+        for m in (60, 240):
+            tracemalloc.start()
+            try:
+                [(_, bad)] = estimators._baselines([(oracle, K, x0s[:m])], 200,
+                                                   100, 0, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert bad is None
+        assert peaks[1] - peaks[0] <= 8 * 36_000 + 2**16
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_repeated_initial_states_match_the_repeated_batch(self, n_cpus,
+                                                              monkeypatch):
+        """``_costs`` with ``rep`` = n_v gives the costs of the batch whose
+        initial states ``np.repeat`` repeats n_v times, bit for bit, for a
+        group of two members, when a chunk edge splits an n_v block, and
+        with a member that overflows in the last chunk."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        m, n_v, l = 6, 200, 100
+        edges = sim._stream_edges(m * n_v, l, 3)
+        assert len(edges) > 2 and edges[1] % n_v
+        oracles = [RolloutOracle(paper3x3(noise_scale=s), SeedSpec(7))
+                   for s in (1e-2, 1e-4)]
+        K = solve_dare(oracles[0]._plant).K_star
+        rng = np.random.default_rng(7)
+        x0s = rng.standard_normal((m, 3))
+        per_row = K + 0.05 * rng.standard_normal((m * n_v, *K.shape))
+        blown = per_row.copy()
+        blown[edges[-2] + 5:] = 1e150
+        ids = range(2**20, 2**20 + m * n_v)
+        for Ks in [np.broadcast_to(K, per_row.shape), per_row, blown]:
+            group = sim._costs([(o, Ks, x0s) for o in oracles], l, 3, ids,
+                               Purpose.BASELINE, rep=n_v)
+            for oracle, (costs, bad) in zip(oracles, group):
+                ref = whole_batch(oracle, Ks, np.repeat(x0s, n_v, axis=0), l, 3,
+                                  ids, Purpose.BASELINE)
+                assert bad == ref[1] == (edges[-2] + 5 if Ks is blown else None)
+                if bad is None:
+                    assert costs.tobytes() == ref[0].tobytes()
+
+    @pytest.mark.parametrize("l", [2, 3, 100])
+    def test_in_place_coloring_matches_the_product(self, l, monkeypatch):
+        """The noise ``_roll`` colors into its buffer equals ``z @ F'`` of
+        each coloring pass, bit for bit, for each member of a group of two
+        with different Sigma_w factors, over two passes."""
+        simulate_batch, noise = sim.simulate_batch, []
+
+        def captured(plant, Ks, x0s, l, states):
+            noise.append(states[1:].copy())
+            return simulate_batch(plant, Ks, x0s, l, states)
+
+        monkeypatch.setattr(sim, "simulate_batch", captured)
+        for n_x in range(1, 5):
+            rng = np.random.default_rng(100 * l + n_x)
+            oracles = [RolloutOracle(random_plant(rng, n_x, 1), SeedSpec(5))
+                       for _ in range(2)]
+            assert oracles[0]._factor_w.tobytes() != oracles[1]._factor_w.tobytes()
+            step = sim._color_step(l, n_x)
+            ids = range(step + 7)
+            members = [(o, np.zeros((len(ids), 1, n_x)), np.zeros((len(ids), n_x)))
+                       for o in oracles]
+            del noise[:]
+            for _ in sim._roll(members, l, 1, ids, Purpose.NOISE):
+                pass
+            z = oracles[0].seeds.draw(1, ids, Purpose.NOISE, (l - 1, n_x))
+            for oracle, colored in zip(oracles, noise):
+                F = oracle._factor_w
+                for a in range(0, len(ids), step):
+                    ref = (z[a:a + step] @ F.T).transpose(1, 0, 2)
+                    assert colored[:, a:a + step].tobytes() == ref.tobytes()
+
+
 @pytest.fixture
 def cpus(request, monkeypatch):
     """As many usable CPUs as the test asks for, a count of the forks this
